@@ -120,7 +120,10 @@ serve::ServiceConfig bench_config() {
 }
 
 /// A backend that can be killed mid-run: the wrapped loopback starts
-/// throwing like a crashed TCP peer the moment `dead` flips.
+/// throwing like a crashed TCP peer the moment `dead` flips. It throws only
+/// once the requests already handed to the server are answered: the pool
+/// drops a transport that throws, and a reply landing after that would run
+/// a callback into a batch and a transport that no longer exist.
 class KillableTransport final : public serve::ClientTransport {
  public:
   KillableTransport(serve::Server& server, std::atomic<bool>& dead)
@@ -145,8 +148,9 @@ class KillableTransport final : public serve::ClientTransport {
   std::string name() const override { return "killable-loopback"; }
 
  private:
-  void check_alive() const {
+  void check_alive() {
     if (dead_->load(std::memory_order_acquire)) {
+      inner_.flush();
       throw serve::ServeError("backend killed");
     }
   }
@@ -230,6 +234,26 @@ struct SimCluster {
                    });
     const auto response = serve::parse_response(future.get());
     return response ? *response : serve::Response{};
+  }
+
+  /// Wait, up to 2 s, until nothing is queued or in flight: every pool
+  /// FIFO idle between batches and every backend server drained. The
+  /// backends' admission ledgers are final only then; a heartbeat probe or
+  /// a recovery replay still executing leaves `submitted` ahead.
+  void quiesce() {
+    const double deadline = steady_now_s() + 2.0;
+    while (steady_now_s() < deadline) {
+      bool idle = true;
+      for (const auto& [name, sim] : sims) {
+        if (!pool->queue_idle(name) || sim.server->queue_depth() != 0 ||
+            sim.server->in_flight() != 0) {
+          idle = false;
+          break;
+        }
+      }
+      if (idle) return;
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
   }
 
   /// The backend owning the most deployments — the worst-case victim for
@@ -472,6 +496,7 @@ int main(int argc, char** argv) {
       std::cout << "LOST REPLIES (" << context << "): sent " << r.sent
                 << " != ok " << r.ok << " + non-ok " << r.non_ok << "\n";
     }
+    cluster.quiesce();
     for (const auto& [name, sim] : cluster.sims) {
       const abp::serve::ServiceMetrics& m = sim.service->metrics();
       if (m.submitted() != m.completed() + m.shed_total()) {

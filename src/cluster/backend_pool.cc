@@ -180,6 +180,14 @@ bool BackendPool::queue_idle(const std::string& backend) const {
   return it->second->queue.empty() && !it->second->busy;
 }
 
+std::size_t BackendPool::queue_depth(const std::string& backend) const {
+  std::lock_guard<std::mutex> map(map_mu_);
+  const auto it = backends_.find(backend);
+  if (it == backends_.end()) return 0;
+  std::lock_guard<std::mutex> lock(it->second->mu);
+  return it->second->queue.size();
+}
+
 bool BackendPool::enqueue(const std::string& backend, Forward forward) {
   std::lock_guard<std::mutex> map(map_mu_);
   const auto it = backends_.find(backend);

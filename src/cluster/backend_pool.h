@@ -120,6 +120,9 @@ class BackendPool {
   /// in-flight work completes rather than being failed. Unknown backends
   /// are trivially idle.
   bool queue_idle(const std::string& backend) const;
+  /// Forwards queued on `backend`'s FIFO that its worker has not taken yet
+  /// (0 for unknown backends).
+  std::size_t queue_depth(const std::string& backend) const;
 
   /// Queue work on `backend`'s FIFO. Returns false — without consuming the
   /// callbacks — when the backend is unknown, marked down (`open`), or the

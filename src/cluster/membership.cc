@@ -1,5 +1,6 @@
 #include "cluster/membership.h"
 
+#include <algorithm>
 #include <chrono>
 #include <condition_variable>
 #include <thread>
@@ -226,47 +227,67 @@ std::uint64_t MembershipController::replay_blocking(
     return version;
   }
   if (entries->empty()) return have_version;  // already current
+  // Pipeline the suffix. A backend with several workers may run two of
+  // these mutates out of order: the later one answers `version-mismatch`
+  // with the version it holds, and so does every entry after the gap.
+  // Resume from the highest version any reply reports and pipeline the
+  // rest again. The entry right above that version always applies, so
+  // every round advances and one round per entry bounds the loop.
   struct Latch {
     std::mutex mu;
     std::condition_variable cv;
     std::size_t outstanding = 0;
-    std::size_t ok = 0;
+    bool failed = false;        ///< transport failure or a terminal status
+    std::uint64_t held = 0;     ///< highest version a reply reported
   };
-  auto latch = std::make_shared<Latch>();
-  std::size_t sent = 0;
-  std::uint64_t reached = have_version;
-  for (const MutationLog::Entry& entry : *entries) {
-    BackendPool::Forward forward;
-    forward.request = replicator_->mutate_request(name, entry);
-    forward.on_reply = [latch](std::string payload) {
-      const auto response = serve::parse_response(payload);
-      std::lock_guard<std::mutex> lock(latch->mu);
-      if (response && response->status == serve::Status::kOk) ++latch->ok;
-      --latch->outstanding;
-      latch->cv.notify_all();
-    };
-    forward.on_failure = [latch] {
-      std::lock_guard<std::mutex> lock(latch->mu);
-      --latch->outstanding;
-      latch->cv.notify_all();
-    };
-    {
-      std::lock_guard<std::mutex> lock(latch->mu);
-      ++latch->outstanding;
+  const std::uint64_t target = entries->back().version;
+  std::uint64_t held = have_version;
+  for (std::size_t round = 0; round < entries->size() && held < target;
+       ++round) {
+    auto latch = std::make_shared<Latch>();
+    latch->held = held;
+    for (const MutationLog::Entry& entry : *entries) {
+      if (entry.version <= held) continue;
+      BackendPool::Forward forward;
+      forward.request = replicator_->mutate_request(name, entry);
+      forward.on_reply = [latch](std::string payload) {
+        const auto response = serve::parse_response(payload);
+        std::lock_guard<std::mutex> lock(latch->mu);
+        if (response && (response->status == serve::Status::kOk ||
+                         response->status ==
+                             serve::Status::kVersionMismatch)) {
+          latch->held = std::max(latch->held, response->version);
+        } else {
+          latch->failed = true;
+        }
+        --latch->outstanding;
+        latch->cv.notify_all();
+      };
+      forward.on_failure = [latch] {
+        std::lock_guard<std::mutex> lock(latch->mu);
+        latch->failed = true;
+        --latch->outstanding;
+        latch->cv.notify_all();
+      };
+      {
+        std::lock_guard<std::mutex> lock(latch->mu);
+        ++latch->outstanding;
+      }
+      if (!pool_->enqueue(backend, std::move(forward))) {
+        std::lock_guard<std::mutex> lock(latch->mu);
+        --latch->outstanding;
+        latch->failed = true;
+        break;
+      }
     }
-    if (!pool_->enqueue(backend, std::move(forward))) {
-      std::lock_guard<std::mutex> lock(latch->mu);
-      --latch->outstanding;
-      break;
-    }
-    ++sent;
-    reached = entry.version;
+    std::unique_lock<std::mutex> lock(latch->mu);
+    latch->cv.wait(lock, [&latch] { return latch->outstanding == 0; });
+    if (latch->failed || latch->held <= held) return 0;
+    held = latch->held;
   }
-  std::unique_lock<std::mutex> lock(latch->mu);
-  latch->cv.wait(lock, [&latch] { return latch->outstanding == 0; });
-  if (sent == 0 || latch->ok != sent) return 0;
+  if (held < target) return 0;
   metrics_->record_handoff_replay();
-  return reached;
+  return target;
 }
 
 AdminResult MembershipController::add(const std::string& backend) {

@@ -163,8 +163,10 @@ class MembershipController {
   std::uint64_t install_blocking(const std::string& backend,
                                  const std::string& name);
   /// Replay the mutation suffix above `have_version`, blocking for every
-  /// ack. Returns the version the backend reached, 0 on failure; falls back
-  /// to a snapshot install when the gap exceeds the retained window.
+  /// ack. Mutates a multi-worker backend ran out of order are re-sent from
+  /// the version it reports holding, at most one round per entry. Returns
+  /// the version the backend reached, 0 on failure; falls back to a
+  /// snapshot install when the gap exceeds the retained window.
   std::uint64_t replay_blocking(const std::string& backend,
                                 const std::string& name,
                                 std::uint64_t have_version);

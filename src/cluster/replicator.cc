@@ -1,12 +1,26 @@
 #include "cluster/replicator.h"
 
+#include <atomic>
 #include <condition_variable>
 #include <memory>
+#include <random>
 #include <utility>
 
 #include "common/assert.h"
 
 namespace abp::cluster {
+
+namespace {
+
+/// A random non-zero id, fresh for each replicator (router process).
+std::uint64_t fresh_incarnation() {
+  std::random_device device;
+  std::uint64_t id = 0;
+  while (id == 0) id = (std::uint64_t{device()} << 32) ^ device();
+  return id;
+}
+
+}  // namespace
 
 Replicator::Replicator(BackendPool& pool, const MembershipTable& membership,
                        std::size_t replication,
@@ -15,6 +29,7 @@ Replicator::Replicator(BackendPool& pool, const MembershipTable& membership,
       membership_(&membership),
       replication_(replication ? replication : 1),
       metrics_(&metrics),
+      incarnation_(fresh_incarnation()),
       log_(log_retain) {}
 
 std::uint64_t Replicator::set_deployment(const std::string& name,
@@ -71,6 +86,7 @@ serve::Request Replicator::install_request(const std::string& name) const {
   request.field = name;
   request.text = std::move(snapshot.text);
   request.version = snapshot.version;
+  request.incarnation = incarnation_;
   return request;
 }
 
@@ -170,18 +186,28 @@ void Replicator::repair_backend(const std::string& backend,
   const auto entries = log_.suffix(name, have_version);
   if (entries && entries->empty()) return;  // already current
   if (entries) {
-    // Replay the missing suffix in order on the backend's FIFO. A reply
-    // that is neither ok nor an idempotent skip means the backend raced a
-    // newer install or lost more state than the probe showed; the fence on
-    // live traffic repairs that case.
+    // Replay the missing suffix in order on the backend's FIFO. A backend
+    // with several workers may still run two of these mutates out of
+    // order: the later one answers `version-mismatch` with the version it
+    // holds, and so does every entry after the gap. The first such reply
+    // restarts the replay from that version, queued behind this one; the
+    // entry right above the held version always applies, so every replay
+    // advances and the restarts end. Any other reply means the backend
+    // raced a newer install; the fence on live traffic repairs that case.
+    auto restarted = std::make_shared<std::atomic<bool>>(false);
     for (const MutationLog::Entry& entry : *entries) {
       BackendPool::Forward forward;
       forward.request = mutate_request(name, entry);
-      forward.on_reply = [this, backend](std::string payload) {
+      forward.on_reply = [this, backend, name,
+                          restarted](std::string payload) {
         const auto response = serve::parse_response(payload);
-        if (response && response->status == serve::Status::kOk) {
+        if (!response) return;
+        if (response->status == serve::Status::kOk) {
           metrics_->record_mutation_ack(backend);
           metrics_->record_replay(backend);
+        } else if (response->status == serve::Status::kVersionMismatch &&
+                   !restarted->exchange(true)) {
+          repair_backend(backend, name, response->version);
         }
       };
       forward.on_failure = [] {};

@@ -93,8 +93,9 @@ class Replicator {
   /// snapshot.
   void sync_backend(const std::string& backend);
 
-  /// Build the install request for `name` at its current version (also
-  /// used by the router's mismatch-repair path).
+  /// Build the install request for `name` at its current version, stamped
+  /// with this replicator's incarnation (also used by the router's
+  /// mismatch-repair path).
   serve::Request install_request(const std::string& name) const;
 
   /// Build the `mutate` request for one logged entry of `name`.
@@ -116,6 +117,9 @@ class Replicator {
   const MembershipTable* membership_;
   std::size_t replication_;
   serve::RouterMetrics* metrics_;
+  /// Stamped on every install, so backends can fence out-of-order installs
+  /// of this log's versions and still accept a restarted router's.
+  const std::uint64_t incarnation_;
   MutationLog log_;
   /// Name-membership filter, republished whole on every deployment change
   /// (immutable once published; the mutex only guards the pointer swap).

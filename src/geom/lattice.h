@@ -89,8 +89,25 @@ class Lattice2D {
   void for_each_in_disk(Vec2 center, double radius,
                         const std::function<void(std::size_t, Vec2)>& fn) const;
 
+  /// Half-open range `[begin, end)` of lattice ordinates along one axis.
+  struct IndexRange {
+    std::size_t begin = 0;
+    std::size_t end = 0;
+    bool empty() const { return begin == end; }
+  };
+
+  /// The lattice points a box covers, boundary included: point (i, j) lies
+  /// in `box` (`AABB::contains`) iff `i` is in `cols` and `j` is in `rows`.
+  /// Either range may be empty, e.g. for a box outside the bounds or one
+  /// thinner than the step that falls between two ordinates.
+  struct BoxRange {
+    IndexRange cols;
+    IndexRange rows;
+  };
+  BoxRange box_range(const AABB& box) const;
+
   /// Invoke `fn(flat_index, position)` for every lattice point inside the
-  /// axis-aligned box (inclusive of boundary points).
+  /// axis-aligned box (inclusive of boundary points), row-major.
   void for_each_in_box(const AABB& box,
                        const std::function<void(std::size_t, Vec2)>& fn) const;
 

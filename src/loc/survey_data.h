@@ -27,6 +27,7 @@ class SurveyData {
   void record(std::size_t flat, double measured_error);
 
   bool measured(std::size_t flat) const { return mask_[flat] != 0; }
+  /// The recorded error; +0.0 at every unmeasured point.
   double value(std::size_t flat) const { return values_[flat]; }
 
   std::size_t measured_count() const { return measured_count_; }

@@ -24,20 +24,23 @@ namespace {
 /// never depends on it).
 void eval_chunk_generic(const FastView& m, const std::uint32_t* cand,
                         std::size_t ncand, const double* px, const double* py,
-                        const std::uint64_t* pxq, const std::uint64_t* pyq,
+                        const std::uint64_t* pxw, const std::uint64_t* pyw,
                         std::size_t npad, double* sx, double* sy,
                         std::uint64_t* cnt) {
   for (std::size_t k = 0; k < ncand; ++k) {
     const std::uint32_t b = cand[k];
     const double bx = m.bx[b];
     const double by = m.by[b];
+    const double in2 = m.beacon_in2[b];
+    const double out2 = m.beacon_out2[b];
     for (std::size_t i = 0; i < npad; ++i) {
       const double dx = bx - px[i];
       const double dy = by - py[i];
       const double d2 = dx * dx + dy * dy;
-      bool conn = d2 <= m.in2;
-      if (!conn && m.band && d2 <= m.out2) {
-        conn = survey_detail::band_connected(m, b, d2, pxq[i], pyq[i]);
+      bool conn = d2 <= in2;
+      if (!conn && m.band && d2 <= out2) {
+        conn = survey_detail::band_connected_premixed(m, b, d2, pxw[i],
+                                                      pyw[i]);
       }
       if (conn) {
         sx[i] += bx;
@@ -70,10 +73,20 @@ SurveyKernel::SurveyKernel(const BeaconField& field,
     if (f.band) {
       f.nf.reserve(soa_.size());
       f.prefix.reserve(soa_.size());
+      f.beacon_in2.reserve(soa_.size());
+      f.beacon_out2.reserve(soa_.size());
       for (std::size_t i = 0; i < soa_.size(); ++i) {
         const Beacon b = soa_.beacon(i);
-        f.nf.push_back(noisy->noise_factor(b));
+        const double nf = noisy->noise_factor(b);
+        f.nf.push_back(nf);
         f.prefix.push_back(noisy->u_draw_prefix(b));
+        // u ∈ [-1, 1) bounds the draw's range between these two products,
+        // and IEEE rounding is monotone, so the computed R(1 + u·nf) never
+        // leaves [bin, bout]: outside this band the draw cannot matter.
+        const double bin = f.range * (1.0 - nf);
+        const double bout = f.range * (1.0 + nf);
+        f.beacon_in2.push_back(bin * bin);
+        f.beacon_out2.push_back(bout * bout);
       }
     }
     fast_ = std::move(f);
@@ -83,6 +96,11 @@ SurveyKernel::SurveyKernel(const BeaconField& field,
     f.in2 = f.out2 = f.range * f.range;
     f.band = false;
     fast_ = std::move(f);
+  }
+  if (fast_ && !fast_->band) {
+    // No band: every beacon's radii are the global ones.
+    fast_->beacon_in2.assign(soa_.size(), fast_->in2);
+    fast_->beacon_out2.assign(soa_.size(), fast_->out2);
   }
 }
 
@@ -273,10 +291,11 @@ void SurveyKernel::evaluate_chunked(SurveyBatch& batch, bool use_avx2) const {
   if (n == 0 || soa_.empty()) return;
 
   const FastPath& f = *fast_;
-  const FastView view{soa_.xs.data(), soa_.ys.data(),
-                      f.nf.data(),    f.prefix.data(),
-                      f.range,        f.in2,
-                      f.out2,         f.band};
+  const FastView view{soa_.xs.data(),      soa_.ys.data(),
+                      f.nf.data(),         f.prefix.data(),
+                      f.range,             f.in2,
+                      f.out2,              f.band,
+                      f.beacon_in2.data(), f.beacon_out2.data()};
   const double reach = model_->max_range() + kReachSlack;
 
   std::vector<std::uint32_t> cand;
@@ -286,8 +305,8 @@ void SurveyKernel::evaluate_chunked(SurveyBatch& batch, bool use_avx2) const {
   alignas(32) double py[kChunk];
   alignas(32) double sx[kChunk];
   alignas(32) double sy[kChunk];
-  alignas(32) std::uint64_t pxq[kChunk];
-  alignas(32) std::uint64_t pyq[kChunk];
+  alignas(32) std::uint64_t pxw[kChunk];
+  alignas(32) std::uint64_t pyw[kChunk];
   alignas(32) std::uint64_t cnt[kChunk];
 
   for (std::size_t start = 0; start < n; start += kChunk) {
@@ -309,13 +328,14 @@ void SurveyKernel::evaluate_chunked(SurveyBatch& batch, bool use_avx2) const {
     for (std::size_t i = m; i < npad; ++i) {
       px[i] = kPadSentinel;
       py[i] = kPadSentinel;
-      pxq[i] = 0;
-      pyq[i] = 0;
+      pxw[i] = 0;
+      pyw[i] = 0;
     }
     if (f.band) {
+      // The point words enter the u-draw hash at rounds 5 and 6.
       for (std::size_t i = 0; i < m; ++i) {
-        pxq[i] = quantize_word(px[i]);
-        pyq[i] = quantize_word(py[i]);
+        pxw[i] = survey_detail::premix_point_word(quantize_word(px[i]), 5);
+        pyw[i] = survey_detail::premix_point_word(quantize_word(py[i]), 6);
       }
     }
 
@@ -344,13 +364,13 @@ void SurveyKernel::evaluate_chunked(SurveyBatch& batch, bool use_avx2) const {
 #if defined(ABP_HAVE_AVX2_KERNEL)
     if (use_avx2) {
       survey_detail::eval_chunk_avx2(view, cand.data(), cand.size(), px, py,
-                                     pxq, pyq, npad, sx, sy, cnt);
+                                     pxw, pyw, npad, sx, sy, cnt);
     } else
 #else
     (void)use_avx2;
 #endif
     {
-      eval_chunk_generic(view, cand.data(), cand.size(), px, py, pxq, pyq,
+      eval_chunk_generic(view, cand.data(), cand.size(), px, py, pxw, pyw,
                          npad, sx, sy, cnt);
     }
 

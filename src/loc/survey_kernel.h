@@ -22,6 +22,14 @@
 /// four beacon-constant words pre-absorbed per beacon (rng/hash.h). Results
 /// are therefore bit-identical across arms, and bit-identical to the
 /// historical scalar `connected_sum`.
+///
+/// The chunked arms hash fewer pairs than the scalar arm, with the same
+/// answers: a pair is certain whenever its distance lies outside the
+/// beacon's *own* band [R(1−nf), R(1+nf)] (not only the global
+/// [R(1−Noise), R(1+Noise)]), and the point half of the two per-point
+/// hash rounds is premixed once per point. The scalar arm keeps the
+/// original form and is the oracle the property suite holds them to
+/// (DESIGN.md §9).
 #pragma once
 
 #include <cstdint>
@@ -128,11 +136,15 @@ class SurveyKernel {
  private:
   struct FastPath {
     double range = 0.0;  // nominal R
-    double in2 = 0.0;    // squared certain-in radius
-    double out2 = 0.0;   // squared certain-out radius
+    double in2 = 0.0;    // squared certain-in radius, R(1 - Noise)
+    double out2 = 0.0;   // squared certain-out radius, R(1 + Noise)
     bool band = false;   // noise > 0: uncertainty band needs hash draws
     std::vector<double> nf;              // per-beacon noise factor
     std::vector<std::uint64_t> prefix;   // per-beacon u-draw hash prefix
+    // Per-beacon squared certain-in/out radii, R(1 - nf) and R(1 + nf):
+    // the chunk arms' band is each beacon's own, inside the global one.
+    std::vector<double> beacon_in2;
+    std::vector<double> beacon_out2;
   };
 
   void evaluate_scalar(SurveyBatch& batch) const;

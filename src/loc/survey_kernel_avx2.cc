@@ -37,11 +37,9 @@ alignas(32) constexpr std::uint64_t kLaneMask[16][4] = {
 
 void eval_chunk_avx2(const FastView& m, const std::uint32_t* cand,
                      std::size_t ncand, const double* px, const double* py,
-                     const std::uint64_t* pxq, const std::uint64_t* pyq,
+                     const std::uint64_t* pxw, const std::uint64_t* pyw,
                      std::size_t npad, double* sx, double* sy,
                      std::uint64_t* cnt) {
-  const __m256d vin2 = _mm256_set1_pd(m.in2);
-  const __m256d vout2 = _mm256_set1_pd(m.out2);
   const __m256i vone = _mm256_set1_epi64x(1);
   alignas(32) double d2lane[kLanes];
 
@@ -49,6 +47,8 @@ void eval_chunk_avx2(const FastView& m, const std::uint32_t* cand,
     const std::uint32_t b = cand[k];
     const __m256d vbx = _mm256_set1_pd(m.bx[b]);
     const __m256d vby = _mm256_set1_pd(m.by[b]);
+    const __m256d vin2 = _mm256_set1_pd(m.beacon_in2[b]);
+    const __m256d vout2 = _mm256_set1_pd(m.beacon_out2[b]);
 
     for (std::size_t i = 0; i < npad; i += kLanes) {
       const __m256d vpx = _mm256_load_pd(px + i);
@@ -61,8 +61,8 @@ void eval_chunk_avx2(const FastView& m, const std::uint32_t* cand,
       const __m256d min = _mm256_cmp_pd(d2, vin2, _CMP_LE_OQ);
       int conn = _mm256_movemask_pd(min);
       if (m.band) {
-        // Lanes inside the uncertainty band: past certain-in, within
-        // certain-out. Resolve each with the per-lane hash draw.
+        // Lanes inside this beacon's uncertainty band: past its certain-in,
+        // within its certain-out. Resolve each with the per-lane hash draw.
         const __m256d mout = _mm256_cmp_pd(d2, vout2, _CMP_LE_OQ);
         int bandmask = _mm256_movemask_pd(_mm256_andnot_pd(min, mout));
         if (bandmask) {
@@ -70,8 +70,8 @@ void eval_chunk_avx2(const FastView& m, const std::uint32_t* cand,
           do {
             const int lane = __builtin_ctz(static_cast<unsigned>(bandmask));
             bandmask &= bandmask - 1;
-            if (band_connected(m, b, d2lane[lane], pxq[i + lane],
-                               pyq[i + lane])) {
+            if (band_connected_premixed(m, b, d2lane[lane], pxw[i + lane],
+                                        pyw[i + lane])) {
               conn |= 1 << lane;
             }
           } while (bandmask);

@@ -39,6 +39,8 @@ struct FastView {
   double in2 = 0.0;                     ///< squared certain-in radius
   double out2 = 0.0;                    ///< squared certain-out radius
   bool band = false;                    ///< noise > 0
+  const double* beacon_in2 = nullptr;   ///< per-beacon (R(1-nf))^2
+  const double* beacon_out2 = nullptr;  ///< per-beacon (R(1+nf))^2
 };
 
 /// Resume the u-draw hash from a beacon's memoized 4-word prefix with the
@@ -62,13 +64,43 @@ struct FastView {
   return d2 <= r * r;
 }
 
+/// The point half of one absorb round. `stable_hash64_absorb(s, w, r)` is
+/// `mix(s ^ mix(w + r·K))`, and the inner mix depends on the point word
+/// and round alone, so the chunk arms premix each point's two quantized
+/// words (rounds 5 and 6) once instead of once per (point, beacon) pair.
+[[gnu::always_inline]] static inline std::uint64_t premix_point_word(
+    std::uint64_t word, std::uint64_t round) {
+  return splitmix64_mix(word + round * kStableHashRound);
+}
+
+/// `resume_u_draw` from premixed point words: three mixes instead of five,
+/// the same bits by the identity above.
+[[gnu::always_inline]] static inline double resume_u_draw_premixed(
+    std::uint64_t prefix, std::uint64_t pxw, std::uint64_t pyw) {
+  std::uint64_t s = splitmix64_mix(prefix ^ pxw);
+  s = splitmix64_mix(s ^ pyw);
+  return hash_to_symmetric(stable_hash64_finalize(s, 6));
+}
+
+/// `band_connected` from premixed point words (the chunk arms' form).
+[[gnu::always_inline]] static inline bool band_connected_premixed(
+    const FastView& m, std::size_t b, double d2, std::uint64_t pxw,
+    std::uint64_t pyw) {
+  const double u = resume_u_draw_premixed(m.prefix[b], pxw, pyw);
+  const double r = m.range * (1.0 + u * m.nf[b]);
+  return d2 <= r * r;
+}
+
 /// Signature of a chunk evaluator arm: accumulate every candidate beacon
 /// (indices into the SoA, ascending) into `npad` padded point lanes.
-/// sx/sy/cnt are the chunk-local accumulators, zeroed by the driver.
+/// Connectivity is certain inside a beacon's own `beacon_in2` and
+/// impossible past its `beacon_out2`; only pairs in between hash, from
+/// the premixed point words `pxw`/`pyw`. sx/sy/cnt are the chunk-local
+/// accumulators, zeroed by `evaluate_chunked`.
 using EvalChunkFn = void (*)(const FastView& m, const std::uint32_t* cand,
                              std::size_t ncand, const double* px,
-                             const double* py, const std::uint64_t* pxq,
-                             const std::uint64_t* pyq, std::size_t npad,
+                             const double* py, const std::uint64_t* pxw,
+                             const std::uint64_t* pyw, std::size_t npad,
                              double* sx, double* sy, std::uint64_t* cnt);
 
 #if defined(ABP_HAVE_AVX2_KERNEL)
@@ -76,7 +108,7 @@ using EvalChunkFn = void (*)(const FastView& m, const std::uint32_t* cand,
 /// when __builtin_cpu_supports("avx2").
 void eval_chunk_avx2(const FastView& m, const std::uint32_t* cand,
                      std::size_t ncand, const double* px, const double* py,
-                     const std::uint64_t* pxq, const std::uint64_t* pyq,
+                     const std::uint64_t* pxw, const std::uint64_t* pyw,
                      std::size_t npad, double* sx, double* sy,
                      std::uint64_t* cnt);
 #endif

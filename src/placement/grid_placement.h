@@ -13,7 +13,13 @@
 /// the maximum cumulative error. "Based on the observation that adding a
 /// new beacon affects its nearby area, not just the point where it is
 /// placed" — which is why Grid, unlike Max, can improve many points at
-/// once. Complexity O(NG · PG).
+/// once.
+///
+/// Complexity O(NG · PG): every grid still sums each of its ~PG points.
+/// Box membership is separable — grid (i, j) covers a column range fixed by
+/// i times a row range fixed by j (`Lattice2D::box_range`) — so the 2·√NG
+/// ranges are computed once and each grid sums flat indices in row-major
+/// order: bit for bit the sums of a per-point scan, added in the same order.
 #pragma once
 
 #include <vector>

@@ -274,6 +274,11 @@ std::string format_request(const Request& request) {
     out += std::to_string(request.version);
     out += '\n';
   }
+  if (request.incarnation != 0) {
+    out += "incarnation ";
+    out += std::to_string(request.incarnation);
+    out += '\n';
+  }
   if (request.request_id != 0) {
     out += "request-id ";
     out += std::to_string(request.request_id);
@@ -348,6 +353,14 @@ std::optional<Request> parse_request(std::string_view payload,
       // Zero is a valid "unversioned"; non-numeric is malformed.
       if (!parse_u64_token(tokens[1], &request.version)) {
         fail(error, "malformed version record: " + std::string(line));
+        return std::nullopt;
+      }
+    } else if (tokens[0] == "incarnation") {
+      // Zero is never sent (the record is omitted instead).
+      if (tokens.size() != 2 ||
+          !parse_u64_token(tokens[1], &request.incarnation) ||
+          request.incarnation == 0) {
+        fail(error, "malformed incarnation record: " + std::string(line));
         return std::nullopt;
       }
     } else if (tokens[0] == "request-id") {

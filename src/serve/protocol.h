@@ -21,6 +21,7 @@
 ///     deadline <ms>            (optional; 0 or absent = no deadline)
 ///     principal <id>           (optional; multi-tenant identity for quotas)
 ///     version <v>              (optional; expected deployment version)
+///     incarnation <id>         (optional; router incarnation on installs)
 ///     request-id <id> <attempt>  (optional; exactly-once write identity)
 ///     text <bytes>\n<raw bytes>\n   (snapshot install body, length-prefixed)
 ///
@@ -47,7 +48,9 @@
 /// past that version acks idempotently, and a lagging replica answers
 /// `version-mismatch` for the install-then-retry repair path. `version`
 /// requests probe a deployment's current version without the snapshot
-/// body (the replicator's replay-vs-resync decision). All cluster records
+/// body (the replicator's replay-vs-resync decision). The `incarnation`
+/// record fences snapshot installs: a backend skips one older than the
+/// version it holds from the same router incarnation. All cluster records
 /// are omitted when zero/empty, so single-server traffic is byte-identical
 /// to the pre-cluster protocol.
 ///
@@ -193,6 +196,13 @@ struct Request {
   /// backend whose deployment carries a different non-zero version answers
   /// `kVersionMismatch` instead of serving stale data.
   std::uint64_t version = 0;
+  /// Snapshot installs from a router: that router process's incarnation, a
+  /// random non-zero id fixed for its lifetime. A backend skips an install
+  /// older than the version it holds from the same incarnation, so two
+  /// installs that run out of order never move a replica back; an install
+  /// from another incarnation (a restarted router, whose versions begin
+  /// again at 1) always applies. 0 = unfenced (the record is omitted).
+  std::uint64_t incarnation = 0;
   /// Exactly-once write identity: a client-generated 64-bit id minted once
   /// per logical `add-beacon` and held constant across every retry of it.
   /// 0 = id-free (the record is omitted on the wire, keeping pre-existing

@@ -79,6 +79,9 @@ struct LocalizationService::Deployment {
   CentroidLocalizer localizer;
   /// Replication version (guarded by `mu`); 0 = unversioned.
   std::uint64_t version = 0;
+  /// Incarnation of the router whose install set `version` (guarded by
+  /// `mu`); 0 = not installed by a router, or by an unfenced one.
+  std::uint64_t incarnation = 0;
 
   /// Exactly-once write state (guarded by `mu`): the ack data of each
   /// remembered request id, FIFO-bounded by `ServiceConfig::dedup_window`.
@@ -343,6 +346,7 @@ Response LocalizationService::handle_locked(Deployment& deployment,
       }
       case Endpoint::kStats:
       case Endpoint::kListFields:
+      case Endpoint::kAdmin:
       case Endpoint::kVersion:
       case Endpoint::kMutate:
         // Handled before deployment lookup / before the fence; unreachable.
@@ -457,6 +461,7 @@ Response LocalizationService::install_snapshot(const Request& request) {
       auto created =
           std::make_unique<Deployment>(std::move(*parsed), config_, seed);
       created->version = request.version;
+      created->incarnation = request.incarnation;
       // A snapshot carries no request-id history. At version 1 there can
       // have been no prior writes, so the empty index is complete; past
       // that, ids may have been folded into the snapshot and unknown-id
@@ -474,6 +479,19 @@ Response LocalizationService::install_snapshot(const Request& request) {
   // entry is never replaced once created).
   Deployment& deployment = *find_deployment(request.field);
   std::lock_guard<std::mutex> lock(deployment.mu);
+  if (request.incarnation != 0 &&
+      request.incarnation == deployment.incarnation &&
+      request.version < deployment.version) {
+    // Stale: this router's versions only grow, so it already installed or
+    // replayed everything this snapshot holds. Pipelined installs (or an
+    // install and a later mutate) that a multi-worker server ran out of
+    // order land here; applying it would move the replica back. Ack at the
+    // version held, like an idempotent mutate.
+    Response response;
+    response.seq = request.seq;
+    response.version = deployment.version;
+    return response;
+  }
   try {
     deployment.field = std::move(*parsed);
     deployment.model = PerBeaconNoiseModel(config_.nominal_range,
@@ -485,6 +503,7 @@ Response LocalizationService::install_snapshot(const Request& request) {
     deployment.rng = Rng(derive_seed(seed, 9));
     deployment.map.compute(deployment.field, deployment.localizer.kernel());
     deployment.version = request.version;
+    deployment.incarnation = request.incarnation;
     // The snapshot discards id history: any write folded into it is no
     // longer answerable from the index, so unknown-id retries become
     // ambiguous (same rule as the fresh-install path above).

@@ -114,7 +114,8 @@ TEST(BackendPool, ProbeRecoveryClosesBreakerAndFiresCallback) {
   std::vector<std::string> recovered;
   BackendPool pool(
       {"b1"}, options, metrics, [&sim](const std::string&) {
-        return std::make_unique<SwitchableTransport>(sim.server, sim.dead);
+        return std::make_unique<SwitchableTransport>(sim.server, sim.dead,
+                                                     sim.wire);
       });
   pool.set_recovery_callback([&](const std::string& backend) {
     std::lock_guard<std::mutex> lock(recovered_mu);

@@ -131,9 +131,24 @@ std::string primary_owner(const std::vector<std::string>& names) {
   return probe.owners("default", 1)[0];
 }
 
-/// Per-backend admission identity: submitted == completed + shed.
+/// Wait until `backend` is quiescent: nothing queued on its pool FIFO, no
+/// pool batch in flight (one batch's reply callbacks can queue more, e.g. a
+/// second repair when both the recovery callback and the test resynced),
+/// and nothing queued or executing on its server. Its counters, and the
+/// router's for it, are final only then: a replica's version reads current
+/// as soon as the change is applied, before the reply that counts it.
+bool quiesce(FaultCluster& cluster, const std::string& backend) {
+  const serve::Server& server = *cluster.backends.at(backend).server;
+  return wait_until(
+      [&] { return backend_quiescent(*cluster.pool, backend, server); });
+}
+
+/// Per-backend admission identity, on quiescent backends:
+/// submitted == completed + shed.
 void expect_backends_reconcile(FaultCluster& cluster) {
   for (const auto& [name, backend] : cluster.backends) {
+    EXPECT_TRUE(quiesce(cluster, name))
+        << "backend " << name << " never went quiescent";
     const serve::ServiceMetrics& m = backend.service->metrics();
     EXPECT_EQ(m.submitted(), m.completed() + m.shed_total())
         << "backend " << name << " lost a request";
@@ -383,6 +398,7 @@ TEST(ClusterChaos, OwnerKilledMidWriteBurstKeepsQuorumThenReplays) {
       << cluster.backends.at(victim).service->field_version("default")
       << " installs " << cluster.metrics.backend_snapshot(victim).installs
       << " replays " << cluster.metrics.backend_snapshot(victim).replays;
+  ASSERT_TRUE(quiesce(cluster, victim));
   EXPECT_EQ(cluster.metrics.backend_snapshot(victim).installs, 1u)
       << "recovery must replay, not resync";
   EXPECT_GE(cluster.metrics.backend_snapshot(victim).replays, kWrites - 1);
@@ -454,6 +470,7 @@ TEST(ClusterChaos, PartitionBeyondRetainedWindowFallsBackToResync) {
     return cluster.backends.at(victim).service->field_version("default") ==
            1 + kWrites;
   }));
+  ASSERT_TRUE(quiesce(cluster, victim));
   EXPECT_GE(cluster.metrics.backend_snapshot(victim).installs, 2u)
       << "beyond the window recovery is a full resync";
   EXPECT_EQ(cluster.metrics.backend_snapshot(victim).replays, 0u);

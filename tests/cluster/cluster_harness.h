@@ -9,13 +9,17 @@
 /// peer looks like to the pool.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <future>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "cluster/backend_pool.h"
@@ -47,45 +51,147 @@ inline serve::ServiceConfig harness_service_config() {
   return config;
 }
 
+/// A test's handle on one backend's wire, consulted on every send:
+///  * `close()` holds sends until `open()`, pinning the backend's traffic
+///    at a chosen point;
+///  * `hold_next_flush()` keeps the next pool batch from finishing, after
+///    its replies are in, until `release_flush()`, so the work queued
+///    meanwhile reaches the backend as one pipelined batch;
+///  * `reverse_next_burst()` sends the replica writes (mutates and
+///    snapshot installs) of the next batch that carries two or more in
+///    reverse order, as a backend with several workers may run a
+///    pipelined burst, made deterministic.
+class WireControl {
+ public:
+  void close() { set(closed_, true); }
+  void open() { set(closed_, false); }
+  void hold_next_flush() { set(hold_flush_, true); }
+  /// Ends the hold, or cancels it if that flush has not been reached yet.
+  void release_flush() {
+    std::lock_guard<std::mutex> lock(mu_);
+    hold_flush_ = false;
+    flush_held_ = false;
+    cv_.notify_all();
+  }
+  void reverse_next_burst() { set(reverse_, true); }
+
+  /// Number of sends currently held by `close()`.
+  std::size_t held() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return held_;
+  }
+  bool reversing() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return reverse_;
+  }
+
+  // Transport side.
+  void before_send() {
+    std::unique_lock<std::mutex> lock(mu_);
+    ++held_;
+    cv_.wait(lock, [this] { return !closed_; });
+    --held_;
+  }
+  void after_flush() {
+    std::unique_lock<std::mutex> lock(mu_);
+    if (!hold_flush_) return;
+    hold_flush_ = false;
+    flush_held_ = true;
+    cv_.wait(lock, [this] { return !flush_held_; });
+  }
+  /// Claims the armed reversal, once.
+  bool take_reversal() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return std::exchange(reverse_, false);
+  }
+
+ private:
+  void set(bool& flag, bool value) {
+    std::lock_guard<std::mutex> lock(mu_);
+    flag = value;
+    cv_.notify_all();
+  }
+
+  mutable std::mutex mu_;
+  std::condition_variable cv_;
+  bool closed_ = false;
+  bool hold_flush_ = false;
+  bool flush_held_ = false;
+  bool reverse_ = false;
+  std::size_t held_ = 0;
+};
+
 /// Delegates to a loopback transport until the kill switch flips, then
-/// throws like a reset TCP connection.
+/// throws like a reset TCP connection — once the requests already handed
+/// to the server are answered, so no reply reaches a batch the pool has
+/// given up on.
 class SwitchableTransport final : public serve::ClientTransport {
  public:
-  SwitchableTransport(serve::Server& server, std::atomic<bool>& dead)
-      : inner_(server), dead_(&dead) {}
+  SwitchableTransport(serve::Server& server, std::atomic<bool>& dead,
+                      WireControl& wire)
+      : inner_(server), dead_(&dead), wire_(&wire) {}
 
   serve::Response roundtrip(const serve::Request& request) override {
     check_alive();
+    wire_->before_send();
     return inner_.roundtrip(request);
   }
   void send_async(const serve::Request& request,
                   std::function<void(std::string)> on_reply) override {
     check_alive();
+    wire_->before_send();
+    if (writes_replica(request) && wire_->reversing()) {
+      burst_.emplace_back(request, std::move(on_reply));
+      return;
+    }
     inner_.send_async(request, std::move(on_reply));
   }
   void flush() override {
     check_alive();
+    if (burst_.size() > 1 && wire_->take_reversal()) {
+      std::reverse(burst_.begin(), burst_.end());
+    }
+    for (auto& [request, on_reply] : burst_) {
+      inner_.send_async(request, std::move(on_reply));
+    }
+    burst_.clear();
     inner_.flush();
+    wire_->after_flush();
   }
   std::string name() const override { return "switchable"; }
 
  private:
-  void check_alive() const {
-    if (dead_->load()) throw serve::ServeError("backend killed");
+  void check_alive() {
+    if (!dead_->load()) return;
+    inner_.flush();
+    throw serve::ServeError("backend killed");
+  }
+  static bool writes_replica(const serve::Request& request) {
+    return request.endpoint == serve::Endpoint::kMutate ||
+           (request.endpoint == serve::Endpoint::kSnapshot &&
+            !request.text.empty());
   }
 
   serve::LoopbackTransport inner_;
   std::atomic<bool>* dead_;
+  WireControl* wire_;
+  /// This batch's replica writes while a reversal is armed, sent at
+  /// `flush()`.
+  std::vector<std::pair<serve::Request, std::function<void(std::string)>>>
+      burst_;
 };
 
-/// One in-process backend: service + manual server + kill switch.
+/// One in-process backend: service + server (manual unless `options` asks
+/// for workers) + kill switch + wire control.
 struct BackendSim {
-  explicit BackendSim(serve::ServiceConfig config = harness_service_config())
-      : service(config), server(service) {}
+  explicit BackendSim(serve::ServiceConfig config = harness_service_config(),
+                      serve::Server::Options options = {})
+      : service(config), server(service, std::move(options)) {}
 
   serve::LocalizationService service;
   serve::Server server;
   std::atomic<bool> dead{false};
+  WireControl wire;
 };
 
 /// N backends plus membership/pool/replicator/router wired like `abp route`.
@@ -103,7 +209,8 @@ struct ClusterSim {
         names, std::move(pool_options), metrics,
         [this](const std::string& backend) {
           BackendSim& sim = *sims.at(backend);
-          return std::make_unique<SwitchableTransport>(sim.server, sim.dead);
+          return std::make_unique<SwitchableTransport>(sim.server, sim.dead,
+                                                       sim.wire);
         });
     replicator = std::make_unique<Replicator>(*pool, membership, replication,
                                               metrics, log_retain);
@@ -131,8 +238,11 @@ struct ClusterSim {
   /// Register a backend sim so the pool's transport factory can reach it.
   /// Must run before `admin("add", name)` — the joining backend's first
   /// snapshot install creates the transport.
-  BackendSim& add_sim(const std::string& name) {
-    auto [it, inserted] = sims.emplace(name, std::make_unique<BackendSim>());
+  BackendSim& add_sim(const std::string& name,
+                      serve::Server::Options options = {}) {
+    auto [it, inserted] = sims.emplace(
+        name, std::make_unique<BackendSim>(harness_service_config(),
+                                           std::move(options)));
     (void)inserted;
     return *it->second;
   }
@@ -152,6 +262,12 @@ struct ClusterSim {
 
   BackendSim& sim(const std::string& name) { return *sims.at(name); }
 
+  /// Wait until nothing is queued or in flight for `name`, in the pool or
+  /// on its server. Router counters for it (installs, replays) are final
+  /// only then: a replica's version reads current as soon as a change is
+  /// applied, before the reply that counts it arrives.
+  bool quiesce(const std::string& name);
+
   std::vector<std::string> backend_names;
   MembershipTable membership;
   serve::RouterMetrics metrics;
@@ -169,6 +285,21 @@ bool wait_until(Pred pred) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   return pred();
+}
+
+/// True when nothing is queued or in flight for `backend`: its pool FIFO
+/// is empty with no batch running, and its server has nothing queued or
+/// executing.
+inline bool backend_quiescent(const BackendPool& pool,
+                              const std::string& backend,
+                              const serve::Server& server) {
+  return pool.queue_idle(backend) && server.queue_depth() == 0 &&
+         server.in_flight() == 0;
+}
+
+inline bool ClusterSim::quiesce(const std::string& name) {
+  return wait_until(
+      [&] { return backend_quiescent(*pool, name, sim(name).server); });
 }
 
 }  // namespace abp::cluster

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <future>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -197,6 +198,59 @@ TEST(MembershipController, AddedBackendReceivesLiveWritesByteIdentically) {
            cluster.replicator->version("default");
   }));
   EXPECT_EQ(cluster.sim("b3").service.handle(snapshot_fetch()).text,
+            cluster.replicator->log().snapshot("default").text);
+}
+
+TEST(MembershipController, HandoffReplayResumesOnAJoinerWithTwoWorkers) {
+  // A joiner with 2 workers can run two of the pipelined handoff mutates
+  // out of order: the later one answers `version-mismatch` with the
+  // version held, and so does every entry after the gap. The replay must
+  // resume from that version instead of failing the join. The joiner's
+  // wire reverses the first pipelined burst, so the gap always happens;
+  // its 2 workers race on whatever the resumed rounds send.
+  ClusterSim cluster({"b1", "b2"}, /*replication=*/3);
+  cluster.replicator->set_deployment("default", field_text());
+  ASSERT_EQ(cluster.replicator->sync_all(), 2u);
+
+  serve::Server::Options threaded;
+  threaded.workers = 2;
+  BackendSim& joiner = cluster.add_sim("b3", threaded);
+  // Hold the joiner's snapshot install on the wire and land the writes
+  // meanwhile: the install ships the pre-write version, and the writes
+  // become the suffix the handoff replays. Hold the install's batch open
+  // until the whole suffix is queued behind it, so the replay reaches the
+  // joiner as one pipelined burst, which the wire reverses.
+  joiner.wire.close();
+  auto added = std::async(std::launch::async,
+                          [&cluster] { return cluster.admin("add", "b3"); });
+  ASSERT_TRUE(wait_until([&] { return joiner.wire.held() > 0; }));
+  const std::uint64_t shipped = cluster.replicator->version("default");
+  constexpr std::uint64_t kWrites = 24;
+  for (std::uint64_t i = 0; i < kWrites; ++i) {
+    const auto ack = serve::parse_response(cluster.call(add_beacon_request(
+        i + 1, {double(2 * i + 3), double(57 - 2 * i)})));
+    ASSERT_TRUE(ack.has_value());
+    ASSERT_EQ(ack->status, serve::Status::kOk) << "write " << i + 1;
+  }
+  ASSERT_EQ(cluster.replicator->version("default"), shipped + kWrites);
+  joiner.wire.hold_next_flush();
+  joiner.wire.reverse_next_burst();
+  joiner.wire.open();
+  const bool queued = wait_until(
+      [&] { return cluster.pool->queue_depth("b3") == kWrites; });
+  joiner.wire.release_flush();
+  ASSERT_TRUE(queued);
+
+  const serve::Response response = added.get();
+  ASSERT_EQ(response.status, serve::Status::kOk) << response.message;
+  EXPECT_FALSE(joiner.wire.reversing());
+  EXPECT_EQ(cluster.membership.epoch(), 2u);
+  EXPECT_EQ(cluster.metrics.handoff_snapshots(), 1u)
+      << "the suffix must arrive by replay, not a second snapshot";
+  EXPECT_GE(cluster.metrics.handoff_replays(), 1u);
+  EXPECT_EQ(joiner.service.field_version("default"),
+            cluster.replicator->version("default"));
+  EXPECT_EQ(joiner.service.handle(snapshot_fetch()).text,
             cluster.replicator->log().snapshot("default").text);
 }
 

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <mutex>
 #include <sstream>
+#include <vector>
 
 #include "io/field_io.h"
 #include "cluster_harness.h"
@@ -33,6 +35,7 @@ TEST(Replicator, InstallRequestCarriesSnapshotAndVersion) {
   EXPECT_EQ(install.field, "f");
   EXPECT_EQ(install.version, 1u);
   EXPECT_EQ(install.text, field_text());
+  EXPECT_NE(install.incarnation, 0u);
 }
 
 TEST(Replicator, SyncAllInstallsOnEveryOwner) {
@@ -133,6 +136,7 @@ TEST(Replicator, SyncBackendReplaysSuffixWhenRetained) {
   cluster.replicator->sync_backend("b1");
   ASSERT_TRUE(wait_until(
       [&] { return cluster.sim("b1").service.field_version("f") == 3u; }));
+  ASSERT_TRUE(cluster.quiesce("b1"));
   // Replayed, not resynced: the install count stays at the startup sync.
   EXPECT_EQ(cluster.metrics.backend_snapshot("b1").installs, 1u);
   EXPECT_EQ(cluster.metrics.backend_snapshot("b1").replays, 2u);
@@ -142,6 +146,105 @@ TEST(Replicator, SyncBackendReplaysSuffixWhenRetained) {
   fetch.field = "f";
   serve::Response snapshot = cluster.sim("b1").service.handle(fetch);
   EXPECT_EQ(snapshot.text, cluster.replicator->log().snapshot("f").text);
+}
+
+TEST(Replicator, SyncBackendReplayRestartsFromTheHeldVersion) {
+  // A backend that runs the replayed suffix out of order answers
+  // `version-mismatch` for every entry after the gap. The replay must
+  // restart from the version it reports, not leave the replica behind.
+  // The wire reverses the burst, so the gap always happens.
+  ClusterSim cluster({"b1"}, /*replication=*/1);
+  cluster.replicator->set_deployment("f", field_text());
+  ASSERT_EQ(cluster.replicator->sync_all(), 1u);
+  for (int i = 0; i < 6; ++i) {
+    cluster.replicator->log().append("f", {{5.0 + 7.0 * i, 20.0}});
+  }
+  ASSERT_EQ(cluster.sim("b1").service.field_version("f"), 1u);
+
+  cluster.sim("b1").wire.reverse_next_burst();
+  cluster.replicator->sync_backend("b1");
+  ASSERT_TRUE(wait_until(
+      [&] { return cluster.sim("b1").service.field_version("f") == 7u; }));
+  ASSERT_TRUE(cluster.quiesce("b1"));
+  EXPECT_FALSE(cluster.sim("b1").wire.reversing());
+  EXPECT_EQ(cluster.metrics.backend_snapshot("b1").installs, 1u)
+      << "restarted by replay, not resynced";
+  serve::Request fetch;
+  fetch.endpoint = serve::Endpoint::kSnapshot;
+  fetch.field = "f";
+  EXPECT_EQ(cluster.sim("b1").service.handle(fetch).text,
+            cluster.replicator->log().snapshot("f").text);
+}
+
+TEST(Replicator, StaleInstallNeverMovesAReplicaBack) {
+  // Two installs pipelined to a backend with several workers can run in
+  // either order. The wire reverses them, so the newer one always lands
+  // first; the older one must then leave the replica where it is.
+  ClusterSim cluster({"b1"}, /*replication=*/1);
+  cluster.replicator->set_deployment("f", field_text());
+  ASSERT_EQ(cluster.replicator->sync_all(), 1u);
+  BackendSim& b1 = cluster.sim("b1");
+
+  // Park the pool's worker on a probe, so both installs queue behind it
+  // and reach the backend as one batch.
+  b1.wire.close();
+  BackendPool::Forward probe;
+  probe.request.endpoint = serve::Endpoint::kStats;
+  ASSERT_TRUE(cluster.pool->enqueue("b1", std::move(probe)));
+  ASSERT_TRUE(wait_until([&] { return b1.wire.held() > 0; }));
+  std::vector<std::uint64_t> acked;
+  std::mutex acked_mu;
+  for (int i = 0; i < 2; ++i) {
+    cluster.replicator->log().append("f", {{5.0 + 9.0 * i, 30.0}});
+    BackendPool::Forward install;
+    install.request = cluster.replicator->install_request("f");
+    install.on_reply = [&](std::string payload) {
+      const auto response = serve::parse_response(payload);
+      ASSERT_TRUE(response.has_value());
+      ASSERT_EQ(response->status, serve::Status::kOk);
+      std::lock_guard<std::mutex> lock(acked_mu);
+      acked.push_back(response->version);
+    };
+    ASSERT_TRUE(cluster.pool->enqueue("b1", std::move(install)));
+  }
+  b1.wire.reverse_next_burst();
+  b1.wire.open();
+  ASSERT_TRUE(cluster.quiesce("b1"));
+
+  EXPECT_FALSE(b1.wire.reversing());
+  EXPECT_EQ(acked, (std::vector<std::uint64_t>{3u, 3u}))
+      << "the older install is acked at the version held";
+  EXPECT_EQ(b1.service.field_version("f"), 3u);
+  serve::Request fetch;
+  fetch.endpoint = serve::Endpoint::kSnapshot;
+  fetch.field = "f";
+  EXPECT_EQ(b1.service.handle(fetch).text,
+            cluster.replicator->log().snapshot("f").text);
+}
+
+TEST(Replicator, RestartedRouterInstallsOverHigherVersions) {
+  // A restarted router's versions begin again at 1. Its installs carry a
+  // new incarnation, so they replace what a replica holds from the router
+  // before it, at whatever version.
+  ClusterSim cluster({"b1"}, /*replication=*/1);
+  cluster.replicator->set_deployment("f", field_text());
+  cluster.replicator->set_deployment("f", field_text());
+  ASSERT_EQ(cluster.replicator->sync_all(), 1u);
+  ASSERT_EQ(cluster.sim("b1").service.field_version("f"), 2u);
+
+  Replicator restarted(*cluster.pool, cluster.membership, 1,
+                       cluster.metrics);
+  BeaconField moved = harness_field();
+  moved.add({33, 44});
+  std::ostringstream text;
+  write_field(text, moved);
+  ASSERT_EQ(restarted.set_deployment("f", text.str()), 1u);
+  EXPECT_EQ(restarted.sync_all(), 1u);
+  EXPECT_EQ(cluster.sim("b1").service.field_version("f"), 1u);
+  serve::Request fetch;
+  fetch.endpoint = serve::Endpoint::kSnapshot;
+  fetch.field = "f";
+  EXPECT_EQ(cluster.sim("b1").service.handle(fetch).text, text.str());
 }
 
 TEST(Replicator, SyncBackendResyncsBeyondTheRetainedWindow) {
@@ -155,6 +258,7 @@ TEST(Replicator, SyncBackendResyncsBeyondTheRetainedWindow) {
   cluster.replicator->sync_backend("b1");
   ASSERT_TRUE(wait_until(
       [&] { return cluster.sim("b1").service.field_version("f") == 3u; }));
+  ASSERT_TRUE(cluster.quiesce("b1"));
   // Resynced with a full snapshot: a second install, no replays.
   EXPECT_EQ(cluster.metrics.backend_snapshot("b1").installs, 2u);
   EXPECT_EQ(cluster.metrics.backend_snapshot("b1").replays, 0u);

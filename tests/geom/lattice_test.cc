@@ -1,9 +1,14 @@
 #include "geom/lattice.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cmath>
 #include <set>
+#include <vector>
 
 #include "common/assert.h"
+#include "rng/rng.h"
 
 namespace abp {
 namespace {
@@ -104,6 +109,77 @@ TEST(Lattice, BoxEnumerationMatchesBruteForce) {
     if (box.contains(p)) brute.insert(flat);
   });
   EXPECT_EQ(fast, brute);
+}
+
+TEST(Lattice, BoxRangeEmptyOutsideAndBetweenOrdinates) {
+  const Lattice2D l = paper_lattice();
+  EXPECT_TRUE(l.box_range(AABB({-30.0, 10.0}, {-20.0, 20.0})).cols.empty());
+  EXPECT_TRUE(l.box_range(AABB({10.0, 100.5}, {20.0, 200.0})).rows.empty());
+  const Lattice2D::BoxRange thin = l.box_range(AABB({4.3, 7.2}, {4.6, 7.9}));
+  EXPECT_TRUE(thin.cols.empty());
+  EXPECT_TRUE(thin.rows.empty());
+  // A degenerate box on a lattice point covers exactly that point.
+  const Lattice2D::BoxRange dot = l.box_range(AABB({5.0, 9.0}, {5.0, 9.0}));
+  EXPECT_EQ(dot.cols.begin, 5u);
+  EXPECT_EQ(dot.cols.end, 6u);
+  EXPECT_EQ(dot.rows.begin, 9u);
+  EXPECT_EQ(dot.rows.end, 10u);
+}
+
+TEST(Lattice, BoxRangeMatchesContainsOnEveryPoint) {
+  // Offset, non-square bounds and fractional steps. Boxes: random ones
+  // (partly or wholly outside the bounds, some thinner than a step), and
+  // ones whose edges sit on an ordinate's coordinate or one ulp either
+  // side of it, where the tolerant bracket and the exact test disagree.
+  const AABB bounds({-7.5, 3.0}, {42.5, 33.0});
+  for (const double step : {0.25, 0.5, 1.0, 2.0}) {
+    const Lattice2D l(bounds, step);
+    Rng rng(static_cast<std::uint64_t>(step * 8));
+    std::vector<AABB> boxes;
+    for (int k = 0; k < 150; ++k) {
+      const Vec2 lo{rng.uniform(-20.0, 55.0), rng.uniform(-10.0, 45.0)};
+      const double w = rng.uniform(0.0, k % 5 == 0 ? step : 30.0);
+      const double h = rng.uniform(0.0, k % 7 == 0 ? step : 30.0);
+      boxes.emplace_back(lo, Vec2{lo.x + w, lo.y + h});
+    }
+    const auto ordinate_point = [&] {
+      return l.point(static_cast<std::size_t>(rng.below(l.nx())),
+                     static_cast<std::size_t>(rng.below(l.ny())));
+    };
+    const auto nudge = [&](double v) {
+      switch (rng.below(3)) {
+        case 0:
+          return std::nextafter(v, -1e9);
+        case 1:
+          return v;
+        default:
+          return std::nextafter(v, 1e9);
+      }
+    };
+    for (int k = 0; k < 150; ++k) {
+      const Vec2 a = ordinate_point();
+      const Vec2 b = ordinate_point();
+      const Vec2 lo{nudge(std::min(a.x, b.x)), nudge(std::min(a.y, b.y))};
+      const Vec2 hi{std::max(nudge(std::max(a.x, b.x)), lo.x),
+                    std::max(nudge(std::max(a.y, b.y)), lo.y)};
+      boxes.emplace_back(lo, hi);
+    }
+    for (const AABB& box : boxes) {
+      const Lattice2D::BoxRange r = l.box_range(box);
+      ASSERT_LE(r.cols.begin, r.cols.end);
+      ASSERT_LE(r.rows.begin, r.rows.end);
+      ASSERT_LE(r.cols.end, l.nx());
+      ASSERT_LE(r.rows.end, l.ny());
+      for (std::size_t j = 0; j < l.ny(); ++j) {
+        for (std::size_t i = 0; i < l.nx(); ++i) {
+          const bool in_range = i >= r.cols.begin && i < r.cols.end &&
+                                j >= r.rows.begin && j < r.rows.end;
+          ASSERT_EQ(in_range, box.contains(l.point(i, j)))
+              << "step " << step << " point (" << i << ", " << j << ")";
+        }
+      }
+    }
+  }
 }
 
 TEST(Lattice, BoxLargerThanBoundsGivesWholeLattice) {

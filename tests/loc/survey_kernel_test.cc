@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <vector>
 
@@ -83,6 +84,29 @@ std::vector<Vec2> make_points(std::size_t n, std::uint64_t seed) {
   return pts;
 }
 
+/// Points on each beacon's own band edges R(1−nf) and R(1+nf), and one
+/// ulp either side of each radius, in the four axis directions: the pairs
+/// the chunk arms decide without a hash draw by the per-beacon band, right
+/// where that decision flips.
+std::vector<Vec2> band_edge_points(const BeaconField& field,
+                                   const PerBeaconNoiseModel& model) {
+  std::vector<Vec2> pts;
+  const double range = model.nominal_range();
+  field.for_each_active([&](const Beacon& b) {
+    const double nf = model.noise_factor(b);
+    for (const double edge : {range * (1.0 - nf), range * (1.0 + nf)}) {
+      for (const double r : {std::nextafter(edge, 0.0), edge,
+                             std::nextafter(edge, 2.0 * edge)}) {
+        pts.push_back({b.pos.x + r, b.pos.y});
+        pts.push_back({b.pos.x - r, b.pos.y});
+        pts.push_back({b.pos.x, b.pos.y + r});
+        pts.push_back({b.pos.x, b.pos.y - r});
+      }
+    }
+  });
+  return pts;
+}
+
 void expect_batches_equal(const SurveyBatch& a, const SurveyBatch& b,
                           const char* what) {
   ASSERT_EQ(a.size(), b.size());
@@ -125,7 +149,9 @@ TEST_P(SurveyKernelNoise, AllArmsBitIdenticalAcrossBatchSizes) {
     const BeaconField field = make_field(48, 0xC3, clustered);
     const PerBeaconNoiseModel model(15.0, noise, 0xF00D);
     const SurveyKernel kernel(field, model);
-    const std::vector<Vec2> all = make_points(1024, 0xD4);
+    std::vector<Vec2> all = make_points(1024, 0xD4);
+    const std::vector<Vec2> edges = band_edge_points(field, model);
+    all.insert(all.end(), edges.begin(), edges.end());
     SurveyBatch scalar, generic, avx2;
     for (const std::size_t n : {std::size_t{1}, std::size_t{2}, std::size_t{3},
                                 std::size_t{4}, std::size_t{5}, std::size_t{7},
@@ -133,7 +159,8 @@ TEST_P(SurveyKernelNoise, AllArmsBitIdenticalAcrossBatchSizes) {
                                 std::size_t{16}, std::size_t{17},
                                 std::size_t{31}, std::size_t{33},
                                 std::size_t{64}, std::size_t{127},
-                                std::size_t{257}, std::size_t{1024}}) {
+                                std::size_t{257}, std::size_t{1024},
+                                all.size()}) {
       const std::vector<Vec2> pts(all.begin(), all.begin() + n);
       evaluate_into(kernel, pts, SurveyBackend::kScalar, scalar);
       evaluate_into(kernel, pts, SurveyBackend::kGeneric, generic);
@@ -234,7 +261,9 @@ TEST(SurveyKernel, WrappersMatchKernel) {
     for (std::size_t i = 0; i < list.size(); ++i) {
       EXPECT_EQ(list[i].id, klist[i].id);
       // Ascending-id contract.
-      if (i > 0) EXPECT_LT(list[i - 1].id, list[i].id);
+      if (i > 0) {
+        EXPECT_LT(list[i - 1].id, list[i].id);
+      }
     }
   }
 }

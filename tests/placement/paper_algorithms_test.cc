@@ -1,6 +1,11 @@
 // Tests for the three §3.2 algorithms: Random, Max, Grid.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <string>
+#include <vector>
+
 #include "common/assert.h"
 #include "common/stats.h"
 #include "field/generators.h"
@@ -245,6 +250,163 @@ TEST(GridAlg, NormalizedVariantResistsSamplingBias) {
 TEST(GridAlg, NamesDistinguishVariants) {
   EXPECT_EQ(GridPlacement().name(), "grid");
   EXPECT_EQ(GridPlacement(400, 2.0, true).name(), "grid-norm");
+}
+
+// ---- Grid's box sums against the per-point scan --------------------------
+
+// The per-point scan Grid ran before box membership was made separable:
+// bracket each grid's box with tolerant floor/ceil ordinates, test every
+// point of the bracket with `AABB::contains`, and sum the measured ones in
+// row-major order. `scores()` must reproduce it bit for bit.
+std::size_t scan_floor_ord(double world, double origin, double step,
+                           std::size_t n) {
+  const double t = (world - origin) / step;
+  const auto v = static_cast<long long>(std::ceil(t - 1e-9));
+  return static_cast<std::size_t>(
+      std::clamp<long long>(v, 0, static_cast<long long>(n) - 1));
+}
+std::size_t scan_ceil_ord(double world, double origin, double step,
+                          std::size_t n) {
+  const double t = (world - origin) / step;
+  const auto v = static_cast<long long>(std::floor(t + 1e-9));
+  return static_cast<std::size_t>(
+      std::clamp<long long>(v, 0, static_cast<long long>(n) - 1));
+}
+
+std::vector<GridPlacement::GridScore> scan_scores(std::size_t num_grids,
+                                                  double grid_side_factor,
+                                                  const PlacementContext& ctx) {
+  const SurveyData& survey = *ctx.survey;
+  const Lattice2D& lattice = survey.lattice();
+  const AABB& lb = lattice.bounds();
+  const AABB& bounds = ctx.bounds;
+  const auto per_axis = static_cast<std::size_t>(
+      std::llround(std::sqrt(static_cast<double>(num_grids))));
+  const double grid_side = grid_side_factor * ctx.nominal_range;
+  const double m = static_cast<double>(per_axis);
+  const double span_x = bounds.width() - grid_side;
+  const double span_y = bounds.height() - grid_side;
+  std::vector<GridPlacement::GridScore> out;
+  for (std::size_t j = 1; j <= per_axis; ++j) {
+    for (std::size_t i = 1; i <= per_axis; ++i) {
+      GridPlacement::GridScore score;
+      score.center = {
+          bounds.lo.x + grid_side / 2.0 +
+              (static_cast<double>(i) - 1.0) * span_x / (m - 1.0),
+          bounds.lo.y + grid_side / 2.0 +
+              (static_cast<double>(j) - 1.0) * span_y / (m - 1.0)};
+      const AABB cell =
+          AABB::centered(score.center, grid_side / 2.0, grid_side / 2.0);
+      const double step = lattice.step();
+      const std::size_t x0 =
+          scan_floor_ord(cell.lo.x, lb.lo.x, step, lattice.nx());
+      const std::size_t x1 =
+          scan_ceil_ord(cell.hi.x, lb.lo.x, step, lattice.nx());
+      const std::size_t y0 =
+          scan_floor_ord(cell.lo.y, lb.lo.y, step, lattice.ny());
+      const std::size_t y1 =
+          scan_ceil_ord(cell.hi.y, lb.lo.y, step, lattice.ny());
+      for (std::size_t y = y0; y <= y1; ++y) {
+        for (std::size_t x = x0; x <= x1; ++x) {
+          if (!cell.contains(lattice.point(x, y))) continue;
+          const std::size_t flat = lattice.index(x, y);
+          if (!survey.measured(flat)) continue;
+          score.cumulative_error += survey.value(flat);
+          ++score.points;
+        }
+      }
+      out.push_back(score);
+    }
+  }
+  return out;
+}
+
+Vec2 scan_pick(const std::vector<GridPlacement::GridScore>& all,
+               bool normalized) {
+  const GridPlacement::GridScore* best = &all.front();
+  for (const auto& s : all) {
+    if (s.score(normalized) > best->score(normalized)) best = &s;
+  }
+  return best->center;
+}
+
+/// Exact equality of every score and of both pickers' proposals.
+void expect_grid_matches_scan(std::size_t num_grids, double factor,
+                              const PlacementContext& ctx,
+                              const std::string& what) {
+  const auto want = scan_scores(num_grids, factor, ctx);
+  const GridPlacement grid(num_grids, factor);
+  const auto got = grid.scores(ctx);
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (std::size_t k = 0; k < want.size(); ++k) {
+    ASSERT_EQ(got[k].center.x, want[k].center.x) << what << " grid " << k;
+    ASSERT_EQ(got[k].center.y, want[k].center.y) << what << " grid " << k;
+    ASSERT_EQ(got[k].cumulative_error, want[k].cumulative_error)
+        << what << " grid " << k;
+    ASSERT_EQ(got[k].points, want[k].points) << what << " grid " << k;
+  }
+  for (const bool normalized : {false, true}) {
+    const GridPlacement alg(num_grids, factor, normalized);
+    Rng rng(1);
+    const Vec2 pick = alg.propose(ctx, rng);
+    EXPECT_EQ(pick.x, scan_pick(want, normalized).x) << what;
+    EXPECT_EQ(pick.y, scan_pick(want, normalized).y) << what;
+  }
+}
+
+TEST(GridAlg, BoxSumsEqualThePerPointScanExactly) {
+  // Non-square bounds offset from the origin, so neither the grid centers
+  // nor the box edges sit on lattice ordinates in general.
+  const AABB bounds({-37.5, 12.0}, {82.5, 102.0});
+  for (const double step : {0.5, 1.0, 2.0}) {
+    const Lattice2D lattice(bounds, step);
+    for (const std::size_t ng : {4u, 100u, 400u, 1600u}) {
+      for (const double factor : {1.0, 2.0}) {
+        const std::string what = "step " + std::to_string(step) + " NG " +
+                                 std::to_string(ng) + " factor " +
+                                 std::to_string(factor);
+        // Seeded surveys with random errors: a complete one and a partial
+        // one (about 60% of the points), each also after one-shot batch
+        // suppression.
+        Rng rng(ng * 31 + static_cast<std::uint64_t>(step * 4 + factor));
+        for (const double coverage : {1.0, 0.6}) {
+          SurveyData survey(lattice);
+          lattice.for_each([&](std::size_t flat, Vec2) {
+            if (rng.uniform(0.0, 1.0) < coverage) {
+              survey.record(flat, rng.uniform(0.0, 20.0));
+            }
+          });
+          const std::string kind =
+              coverage == 1.0 ? "complete, " : "partial, ";
+          expect_grid_matches_scan(
+              ng, factor, PlacementContext::basic(survey, bounds, kR),
+              kind + what);
+
+          survey.suppress_disk({10.0, 50.0}, 18.0);
+          survey.suppress_disk({70.0, 95.0}, 7.5);
+          expect_grid_matches_scan(
+              ng, factor, PlacementContext::basic(survey, bounds, kR),
+              "suppressed " + kind + what);
+        }
+      }
+    }
+  }
+}
+
+TEST(GridAlg, AllZeroSurveyTiesAndTheFirstGridWins) {
+  const AABB bounds({-37.5, 12.0}, {82.5, 102.0});
+  const Lattice2D lattice(bounds, 1.0);
+  const SurveyData survey = make_survey(lattice);
+  const auto ctx = PlacementContext::basic(survey, bounds, kR);
+  for (const std::size_t ng : {4u, 100u, 400u, 1600u}) {
+    expect_grid_matches_scan(ng, 2.0, ctx, "all-zero NG " + std::to_string(ng));
+    for (const bool normalized : {false, true}) {
+      const GridPlacement alg(ng, 2.0, normalized);
+      Rng rng(1);
+      EXPECT_EQ(alg.propose(ctx, rng), alg.scores(ctx).front().center)
+          << "NG " << ng << (normalized ? " normalized" : "");
+    }
+  }
 }
 
 TEST(GridAlg, ComplexityGrowsLinearlyInNG) {

@@ -414,13 +414,26 @@ TEST(EpollTransport, ConcurrentConnectionsAcrossShards) {
 }
 
 TEST(EpollTransport, MalformedFrameGetsBadRequestAndClose) {
-  EpollFixture fixture;
+  // An idle budget far above the wait below, so only the corrupt frame
+  // can close the connection in time.
+  TransportOptions options = EpollFixture::shard_options();
+  options.read_timeout_s = 60.0;
+  EpollFixture fixture(options);
   TcpClientTransport client("127.0.0.1", fixture.transport->port());
   client.send_raw("garbage that is not a frame\n");
   const auto response = parse_response(client.read_payload());
   ASSERT_TRUE(response.has_value());
   EXPECT_EQ(response->status, Status::kBadRequest);
-  EXPECT_TRUE(client.closed_by_peer());
+  // The close follows the reply on the wire: wait for it instead of
+  // sampling the socket once, which can run before the FIN arrives.
+  bool closed = false;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (!closed && std::chrono::steady_clock::now() < deadline) {
+    closed = client.closed_by_peer();
+    if (!closed) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_TRUE(closed);
 }
 
 TEST(EpollTransport, IdleConnectionTimesOut) {

@@ -351,6 +351,30 @@ TEST(Protocol, MalformedPrincipalRecordIsRejected) {
   EXPECT_FALSE(parse_request(head + "principal 7 8\n").has_value());
 }
 
+TEST(Protocol, IncarnationRecordRoundTripsAndZeroIsOmitted) {
+  Request request = full_request();
+  EXPECT_EQ(format_request(request).find("incarnation"), std::string::npos);
+  request.endpoint = Endpoint::kSnapshot;
+  request.text = "field body\n";
+  request.version = 9;
+  request.incarnation = 0xFEEDFACE12345678ull;
+  std::string error;
+  const auto copy = parse_request(format_request(request), &error);
+  ASSERT_TRUE(copy.has_value()) << error;
+  EXPECT_EQ(copy->incarnation, 0xFEEDFACE12345678ull);
+  EXPECT_EQ(*copy, request);
+}
+
+TEST(Protocol, MalformedIncarnationRecordIsRejected) {
+  const std::string head = "abp-request 1 1 snapshot\nversion 3\n";
+  std::string error;
+  EXPECT_FALSE(parse_request(head + "incarnation\n", &error).has_value());
+  EXPECT_NE(error.find("malformed incarnation record"), std::string::npos);
+  EXPECT_FALSE(parse_request(head + "incarnation 0\n").has_value());
+  EXPECT_FALSE(parse_request(head + "incarnation x1\n").has_value());
+  EXPECT_FALSE(parse_request(head + "incarnation 7 8\n").has_value());
+}
+
 TEST(Protocol, DedupExpiredStatusRoundTripsAndIsTerminal) {
   Response response;
   response.seq = 3;

@@ -459,6 +459,41 @@ TEST(Service, SnapshotInstallResetsDedupHistory) {
   EXPECT_EQ(service.handle(retry).status, Status::kDedupExpired);
 }
 
+TEST(Service, StaleInstallOfOneIncarnationIsSkipped) {
+  LocalizationService service(test_config());
+  Request newer = install_request(3);
+  newer.incarnation = 7;
+  ASSERT_EQ(service.handle(newer).status, Status::kOk);
+  // An older snapshot from the same router, run after the newer one (as a
+  // multi-worker server may run two pipelined installs), is acked at the
+  // version held and changes nothing.
+  BeaconField smaller(make_field().bounds());
+  smaller.add({5, 5});
+  std::ostringstream text;
+  write_field(text, smaller);
+  Request older = install_request(2);
+  older.incarnation = 7;
+  older.text = text.str();
+  const Response skipped = service.handle(older);
+  ASSERT_EQ(skipped.status, Status::kOk) << skipped.message;
+  EXPECT_EQ(skipped.version, 3u);
+  EXPECT_EQ(service.field_version("default"), 3u);
+  Request fetch;
+  fetch.endpoint = Endpoint::kSnapshot;
+  EXPECT_EQ(service.handle(fetch).text, field_file_text());
+  // Another incarnation (a restarted router, versions from 1) applies,
+  // and so does an unfenced install.
+  older.incarnation = 8;
+  older.version = 1;
+  ASSERT_EQ(service.handle(older).status, Status::kOk);
+  EXPECT_EQ(service.field_version("default"), 1u);
+  EXPECT_EQ(service.handle(fetch).text, text.str());
+  Request unfenced = install_request(1);
+  ASSERT_EQ(service.handle(newer).status, Status::kOk);
+  ASSERT_EQ(service.handle(unfenced).status, Status::kOk);
+  EXPECT_EQ(service.field_version("default"), 1u);
+}
+
 TEST(Service, TooManyProposalsIsBadRequest) {
   LocalizationService service(test_config());
   service.add_field("default", make_field());

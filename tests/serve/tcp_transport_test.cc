@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <thread>
 #include <vector>
 
@@ -33,9 +34,10 @@ Request localize_request(std::uint64_t seq, Vec2 point) {
 }
 
 struct TcpFixture {
-  TcpFixture() : service(test_config()), server(service, server_options()) {
+  explicit TcpFixture(TcpServerTransport::Options options = {})
+      : service(test_config()), server(service, server_options()) {
     service.add_field("default", make_field());
-    transport = std::make_unique<TcpServerTransport>(server);
+    transport = std::make_unique<TcpServerTransport>(server, options);
     transport->start();
   }
   ~TcpFixture() {
@@ -99,7 +101,11 @@ TEST(TcpTransport, ConcurrentConnections) {
 }
 
 TEST(TcpTransport, MalformedFrameGetsBadRequestAndClose) {
-  TcpFixture fixture;
+  // An idle budget far above the wait below, so only the corrupt frame
+  // can close the connection in time.
+  TcpServerTransport::Options options;
+  options.read_timeout_s = 60.0;
+  TcpFixture fixture(options);
   TcpClientTransport client("127.0.0.1", fixture.transport->port());
   client.send_raw("garbage that is not a frame\n");
   const std::string payload = client.read_payload();
@@ -107,7 +113,16 @@ TEST(TcpTransport, MalformedFrameGetsBadRequestAndClose) {
   ASSERT_TRUE(response.has_value());
   EXPECT_EQ(response->status, Status::kBadRequest);
   // The server cannot resynchronize a corrupt byte stream — it must close.
-  EXPECT_TRUE(client.closed_by_peer());
+  // The close follows the reply on the wire: wait for it instead of
+  // sampling the socket once, which can run before the FIN arrives.
+  bool closed = false;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (!closed && std::chrono::steady_clock::now() < deadline) {
+    closed = client.closed_by_peer();
+    if (!closed) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_TRUE(closed);
 }
 
 TEST(TcpTransport, ReadTimeoutClosesIdleConnection) {
