@@ -33,9 +33,13 @@ double quantile(std::span<const double> xs, double q) {
   std::nth_element(v.begin(), v.begin() + static_cast<std::ptrdiff_t>(lo),
                    v.end());
   const double a = v[lo];
-  std::nth_element(v.begin(), v.begin() + static_cast<std::ptrdiff_t>(hi),
-                   v.end());
-  const double b = v[hi];
+  // Everything past `lo` is now >= a, so the next order statistic is the
+  // least of it. Equal values may differ only in the sign of zero, which
+  // the interpolation below maps to the same bits.
+  const double b =
+      hi == lo ? a
+               : *std::min_element(
+                     v.begin() + static_cast<std::ptrdiff_t>(hi), v.end());
   const double frac = pos - static_cast<double>(lo);
   return a + (b - a) * frac;
 }

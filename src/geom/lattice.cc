@@ -5,36 +5,45 @@
 namespace abp {
 
 namespace {
+// An ordinate clamped to the axis range. The clamp is taken in floating
+// point, so a far coordinate never reaches an out-of-range conversion.
+std::size_t clamp_ord(double v, std::size_t n) {
+  return static_cast<std::size_t>(
+      std::clamp(v, 0.0, static_cast<double>(n - 1)));
+}
 // Convert a world coordinate to the lowest lattice ordinate >= it (floor /
 // ceil pair clamped to the axis range).
 std::size_t floor_ord(double world, double origin, double step,
                       std::size_t n) {
-  const double t = (world - origin) / step;
-  const long long v = static_cast<long long>(std::ceil(t - 1e-9));
-  return static_cast<std::size_t>(std::clamp<long long>(v, 0, static_cast<long long>(n) - 1));
+  return clamp_ord(std::ceil((world - origin) / step - 1e-9), n);
 }
 std::size_t ceil_ord(double world, double origin, double step, std::size_t n) {
-  const double t = (world - origin) / step;
-  const long long v = static_cast<long long>(std::floor(t + 1e-9));
-  return static_cast<std::size_t>(std::clamp<long long>(v, 0, static_cast<long long>(n) - 1));
+  return clamp_ord(std::floor((world - origin) / step + 1e-9), n);
 }
 }  // namespace
 
 void Lattice2D::for_each_in_disk(
     Vec2 center, double radius,
     const std::function<void(std::size_t, Vec2)>& fn) const {
-  ABP_CHECK(radius >= 0.0, "negative disk radius");
   const double r2 = radius * radius;
-  const std::size_t i0 = floor_ord(center.x - radius, bounds_.lo.x, step_, nx_);
-  const std::size_t i1 = ceil_ord(center.x + radius, bounds_.lo.x, step_, nx_);
-  const std::size_t j0 = floor_ord(center.y - radius, bounds_.lo.y, step_, ny_);
-  const std::size_t j1 = ceil_ord(center.y + radius, bounds_.lo.y, step_, ny_);
-  for (std::size_t j = j0; j <= j1; ++j) {
-    for (std::size_t i = i0; i <= i1; ++i) {
+  const BoxRange r = disk_range(center, radius);
+  for (std::size_t j = r.rows.begin; j < r.rows.end; ++j) {
+    for (std::size_t i = r.cols.begin; i < r.cols.end; ++i) {
       const Vec2 p = point(i, j);
       if (distance_sq(p, center) <= r2) fn(index(i, j), p);
     }
   }
+}
+
+Lattice2D::BoxRange Lattice2D::disk_range(Vec2 center, double radius) const {
+  ABP_CHECK(radius >= 0.0, "negative disk radius");
+  const auto axis = [&](double c, double origin, std::size_t n) {
+    IndexRange r;
+    r.begin = floor_ord(c - radius, origin, step_, n);
+    r.end = std::max(r.begin, ceil_ord(c + radius, origin, step_, n) + 1);
+    return r;
+  };
+  return {axis(center.x, bounds_.lo.x, nx_), axis(center.y, bounds_.lo.y, ny_)};
 }
 
 Lattice2D::BoxRange Lattice2D::box_range(const AABB& box) const {

@@ -84,8 +84,9 @@ class Lattice2D {
   }
 
   /// Invoke `fn(flat_index, position)` for every lattice point within
-  /// `radius` of `center` (inclusive). Scans only the bounding sub-grid and
-  /// filters by exact distance, so the cost is O(points in the disk).
+  /// `radius` of `center` (inclusive). Scans only the bounding sub-grid
+  /// (`disk_range`) and filters by exact distance, so the cost is
+  /// O(points in the disk).
   void for_each_in_disk(Vec2 center, double radius,
                         const std::function<void(std::size_t, Vec2)>& fn) const;
 
@@ -94,6 +95,7 @@ class Lattice2D {
     std::size_t begin = 0;
     std::size_t end = 0;
     bool empty() const { return begin == end; }
+    std::size_t size() const { return end - begin; }
   };
 
   /// The lattice points a box covers, boundary included: point (i, j) lies
@@ -105,6 +107,11 @@ class Lattice2D {
     IndexRange rows;
   };
   BoxRange box_range(const AABB& box) const;
+
+  /// The bounding sub-grid `for_each_in_disk` scans: it holds every lattice
+  /// point within `radius` of `center`; callers filter the rest out by exact
+  /// distance.
+  BoxRange disk_range(Vec2 center, double radius) const;
 
   /// Invoke `fn(flat_index, position)` for every lattice point inside the
   /// axis-aligned box (inclusive of boundary points), row-major.

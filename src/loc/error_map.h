@@ -7,25 +7,35 @@
 /// placement would dominate runtime, so `ErrorMap` exploits the structure of
 /// centroid localization:
 ///
-///  * adding beacon B can change the connected set only at points within
-///    `model.max_range()` of B — those are recomputed exactly;
+///  * adding or removing beacon B can change the connected set only at
+///    points within `model.max_range()` of B;
 ///  * points that hear *no* beacon fall back to the field centroid (see
 ///    localizer.h), which shifts when the field changes — those points are
-///    updated in O(#uncovered) without any connectivity queries.
+///    updated without any connectivity queries.
 ///
-/// All lattice sweeps evaluate through the batched `SurveyKernel`
-/// (survey_kernel.h): points are gathered into a `SurveyBatch` and resolved
-/// in one fused kernel call, then the scalar epilogue (centroid fallback,
-/// distance-to-truth) runs per point. The result is bit-identical to the
-/// historical per-point path and to a full recomputation (enforced by
-/// property tests) at a fraction of the cost. A hypothetical-addition query
-/// (`mean_if_added`) supports the greedy-oracle placement baseline without
-/// mutating anything.
+/// Beside each point's LE the map stores the point's `ConnectedSum`: the
+/// position sum and count of its connected beacons, in ascending id order.
+/// `compute` fills them with `SurveyKernel::evaluate_lattice` (beacon-major:
+/// each beacon scans only its own disk's bounding box), then runs the
+/// scalar epilogue (centroid fallback, distance-to-truth) per point in
+/// row-major order. Adding the beacon with the kernel's highest active id
+/// extends each stored sum in its reach by one predicate test; the
+/// canonical order sums that beacon last, so this is exact. Any other
+/// addition (a re-activation) and every removal re-evaluate the disk's
+/// bounding sub-grid. `mean_if_added` reads the stored sums and evaluates no
+/// kernel. Every stored LE, sum and count is bit-identical to a full
+/// recomputation's and to the per-point localizer (enforced by property
+/// tests); the mean is maintained incrementally.
+///
+/// The map keeps no scratch buffers: const methods write nothing, so
+/// concurrent const calls are safe, while mutating calls need a single
+/// writer.
 ///
 /// Each method has two forms: the `(field, model)` form snapshots a one-shot
 /// kernel, and the `(field, kernel)` form takes a caller-held kernel so hot
 /// loops (placement search, serving) amortize the snapshot. The kernel must
-/// be a snapshot of `field`'s current revision.
+/// be a snapshot of `field`'s current revision, and an update assumes the
+/// map reflects the field and model as they were just before the change.
 #pragma once
 
 #include <span>
@@ -74,6 +84,10 @@ class ErrorMap {
   double value(std::size_t flat) const { return err_[flat]; }
   /// Connected-beacon count at a flat lattice index.
   std::size_t connected(std::size_t flat) const { return conn_[flat]; }
+  /// Position sum and count of the connected set at a flat lattice index.
+  ConnectedSum connected_sum(std::size_t flat) const {
+    return {{sum_x_[flat], sum_y_[flat]}, conn_[flat]};
+  }
 
   std::span<const double> values() const { return err_.data(); }
 
@@ -89,15 +103,18 @@ class ErrorMap {
 
  private:
   void set_value(std::size_t flat, double v);
+  /// Re-evaluate the points within `reach` of `center` over the disk's
+  /// bounding sub-grid, and refresh their LE.
+  void recompute_disk(const SurveyKernel& kernel, Vec2 center, double reach,
+                      Vec2 centroid);
 
   Lattice2D lattice_;
   Grid2D<double> err_;
-  Grid2D<std::uint16_t> conn_;
+  /// Each point's ConnectedSum, kept in step with the field.
+  Grid2D<double> sum_x_;
+  Grid2D<double> sum_y_;
+  Grid2D<std::uint32_t> conn_;
   double sum_ = 0.0;
-  /// Reused point buffer for the batched sweeps. Makes concurrent calls on
-  /// one ErrorMap (even const ones) a data race — match the map's existing
-  /// single-writer discipline.
-  mutable SurveyBatch scratch_;
 };
 
 }  // namespace abp

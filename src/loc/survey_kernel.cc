@@ -5,6 +5,7 @@
 #include <cstring>
 #include <limits>
 
+#include "common/assert.h"
 #include "loc/survey_kernel_detail.h"
 #include "radio/noise_model.h"
 #include "rng/hash.h"
@@ -53,6 +54,94 @@ void eval_chunk_generic(const FastView& m, const std::uint32_t* cand,
 
 std::uint64_t quantize_word(double v) {
   return static_cast<std::uint64_t>(quantize_cm(v));
+}
+
+using IndexRange = Lattice2D::IndexRange;
+
+/// A lattice sub-grid being evaluated: its ordinates, exactly as
+/// `Lattice2D::point(i, j)` computes them, and its row-major outputs.
+struct LatticeGrid {
+  IndexRange cols;         ///< lattice columns of the sub-grid
+  IndexRange rows;         ///< lattice rows of the sub-grid
+  std::vector<double> px;  ///< x of each column, ascending
+  std::vector<double> py;  ///< y of each row, ascending
+  double* sx = nullptr;
+  double* sy = nullptr;
+  std::uint32_t* cnt = nullptr;
+};
+
+/// Lattice range `r` clipped to the sub-grid range `sub`, as offsets into it.
+IndexRange clip(IndexRange r, IndexRange sub) {
+  const std::size_t begin = std::clamp(r.begin, sub.begin, sub.end);
+  const std::size_t end = std::clamp(r.end, begin, sub.end);
+  return {begin - sub.begin, end - sub.begin};
+}
+
+/// Fast-path lattice evaluation, beacon-major. Each beacon scans the part of
+/// its certain-out disk's bounding sub-grid (`Lattice2D::disk_range` at its
+/// own R(1 + nf), whose square is `out2`) that lies in the sub-grid, with
+/// the chunk arms' per-point tests: `d² <= in2` connects, `d² > out2` does
+/// not, and the band between hashes from `s1 = premix_column(prefix, pxw)`,
+/// taken once per (beacon, column). A band point adds `take·b` with
+/// `take = double(conn)` rather than branch on the draw: adding ±0.0 leaves
+/// a sum that is never −0.0 unchanged.
+void lattice_fast(const FastView& m, std::size_t nb, const Lattice2D& lattice,
+                  const LatticeGrid& g) {
+  const std::size_t nc = g.px.size();
+  std::vector<std::uint64_t> pxw, pyw, s1;
+  if (m.band) {
+    pxw.resize(nc);
+    s1.resize(nc);
+    pyw.resize(g.py.size());
+    // The point words enter the u-draw hash at rounds 5 and 6.
+    for (std::size_t k = 0; k < nc; ++k) {
+      pxw[k] = survey_detail::premix_point_word(quantize_word(g.px[k]), 5);
+    }
+    for (std::size_t r = 0; r < g.py.size(); ++r) {
+      pyw[r] = survey_detail::premix_point_word(quantize_word(g.py[r]), 6);
+    }
+  }
+  for (std::size_t b = 0; b < nb; ++b) {
+    const double bx = m.bx[b];
+    const double by = m.by[b];
+    const double in2 = m.beacon_in2[b];
+    const double out2 = m.beacon_out2[b];
+    const bool band = in2 != out2;
+    ABP_DCHECK(!band || m.band, "a band needs noise");
+    // The constructor's R(1 + nf): `out2` is its square.
+    const double reach = m.range * (1.0 + (m.band ? m.nf[b] : 0.0));
+    const Lattice2D::BoxRange box = lattice.disk_range({bx, by}, reach);
+    const IndexRange cols = clip(box.cols, g.cols);
+    const IndexRange rows = clip(box.rows, g.rows);
+    if (band) {
+      for (std::size_t k = cols.begin; k < cols.end; ++k) {
+        s1[k] = survey_detail::premix_column(m.prefix[b], pxw[k]);
+      }
+    }
+    for (std::size_t r = rows.begin; r < rows.end; ++r) {
+      const double dy = by - g.py[r];
+      const double dy2 = dy * dy;
+      double* sx = g.sx + r * nc;
+      double* sy = g.sy + r * nc;
+      std::uint32_t* cnt = g.cnt + r * nc;
+      for (std::size_t k = cols.begin; k < cols.end; ++k) {
+        const double dx = bx - g.px[k];
+        const double d2 = dx * dx + dy2;
+        if (d2 <= in2) {
+          sx[k] += bx;
+          sy[k] += by;
+          ++cnt[k];
+        } else if (band && d2 <= out2) {
+          const bool conn =
+              survey_detail::band_connected_column(m, b, d2, s1[k], pyw[r]);
+          const double take = conn;
+          sx[k] += take * bx;
+          sy[k] += take * by;
+          cnt[k] += conn;
+        }
+      }
+    }
+  }
 }
 
 }  // namespace
@@ -195,35 +284,28 @@ ConnectedSum SurveyKernel::evaluate_point(Vec2 p) const {
   return fast_ ? point_fast(p) : point_fallback(p);
 }
 
+bool SurveyKernel::beacon_connected(std::size_t b, Vec2 p) const {
+  const double dx = soa_.xs[b] - p.x;
+  const double dy = soa_.ys[b] - p.y;
+  const double d2 = dx * dx + dy * dy;
+  if (!fast_) {
+    const double r = model_->max_range();
+    return d2 <= r * r && model_->connected(soa_.beacon(b), p);
+  }
+  const FastPath& f = *fast_;
+  if (d2 <= f.beacon_in2[b]) return true;
+  if (d2 > f.beacon_out2[b]) return false;
+  const FastView m{soa_.xs.data(), soa_.ys.data(), f.nf.data(),
+                   f.prefix.data(), f.range,       f.in2,
+                   f.out2,          f.band};
+  return survey_detail::band_connected(m, b, d2, quantize_word(p.x),
+                                       quantize_word(p.y));
+}
+
 std::vector<Beacon> SurveyKernel::connected_list(Vec2 p) const {
   std::vector<Beacon> out;
-  std::uint64_t pxq = 0;
-  std::uint64_t pyq = 0;
-  const bool band = fast_ && fast_->band;
-  if (band) {
-    pxq = quantize_word(p.x);
-    pyq = quantize_word(p.y);
-  }
-  const double r = model_->max_range();
-  const double r2 = r * r;
   for (std::size_t b = 0; b < soa_.size(); ++b) {
-    const double dx = soa_.xs[b] - p.x;
-    const double dy = soa_.ys[b] - p.y;
-    const double d2 = dx * dx + dy * dy;
-    bool conn;
-    if (fast_) {
-      conn = d2 <= fast_->in2;
-      if (!conn && band && d2 <= fast_->out2) {
-        FastView m{soa_.xs.data(), soa_.ys.data(),
-                   fast_->nf.data(), fast_->prefix.data(),
-                   fast_->range,     fast_->in2,
-                   fast_->out2,      fast_->band};
-        conn = survey_detail::band_connected(m, b, d2, pxq, pyq);
-      }
-    } else {
-      conn = d2 <= r2 && model_->connected(soa_.beacon(b), p);
-    }
-    if (conn) out.push_back(soa_.beacon(b));
+    if (beacon_connected(b, p)) out.push_back(soa_.beacon(b));
   }
   return out;
 }
@@ -255,6 +337,57 @@ bool SurveyKernel::hypothetical_connected(const Hypothetical& h,
                                                 quantize_word(p.y));
   const double r = fast_->range * (1.0 + u * h.nf);
   return d2 <= r * r;
+}
+
+void SurveyKernel::evaluate_lattice(const Lattice2D& lattice,
+                                    Lattice2D::IndexRange cols,
+                                    Lattice2D::IndexRange rows,
+                                    std::span<double> sum_x,
+                                    std::span<double> sum_y,
+                                    std::span<std::uint32_t> counts) const {
+  ABP_CHECK(cols.begin <= cols.end && cols.end <= lattice.nx() &&
+                rows.begin <= rows.end && rows.end <= lattice.ny(),
+            "lattice sub-grid out of range");
+  const std::size_t n = cols.size() * rows.size();
+  ABP_CHECK(sum_x.size() >= n && sum_y.size() >= n && counts.size() >= n,
+            "lattice outputs smaller than the sub-grid");
+  std::fill_n(sum_x.begin(), n, 0.0);
+  std::fill_n(sum_y.begin(), n, 0.0);
+  std::fill_n(counts.begin(), n, 0u);
+  if (n == 0 || soa_.empty()) return;
+  if (!fast_) {
+    // No fast path: the per-point oracle, row-major.
+    std::size_t o = 0;
+    for (std::size_t j = rows.begin; j < rows.end; ++j) {
+      for (std::size_t i = cols.begin; i < cols.end; ++i, ++o) {
+        const ConnectedSum cs = point_fallback(lattice.point(i, j));
+        sum_x[o] = cs.sum.x;
+        sum_y[o] = cs.sum.y;
+        counts[o] = static_cast<std::uint32_t>(cs.count);
+      }
+    }
+    return;
+  }
+
+  LatticeGrid g;
+  g.cols = cols;
+  g.rows = rows;
+  g.sx = sum_x.data();
+  g.sy = sum_y.data();
+  g.cnt = counts.data();
+  for (std::size_t i = cols.begin; i < cols.end; ++i) {
+    g.px.push_back(lattice.point(i, rows.begin).x);
+  }
+  for (std::size_t j = rows.begin; j < rows.end; ++j) {
+    g.py.push_back(lattice.point(cols.begin, j).y);
+  }
+  const FastPath& f = *fast_;
+  const FastView view{soa_.xs.data(),      soa_.ys.data(),
+                      f.nf.data(),         f.prefix.data(),
+                      f.range,             f.in2,
+                      f.out2,              f.band,
+                      f.beacon_in2.data(), f.beacon_out2.data()};
+  lattice_fast(view, soa_.size(), lattice, g);
 }
 
 void SurveyKernel::evaluate_scalar(SurveyBatch& batch) const {

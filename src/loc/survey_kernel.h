@@ -30,13 +30,20 @@
 /// hash rounds is premixed once per point. The scalar arm keeps the
 /// original form and is the oracle the property suite holds them to
 /// (DESIGN.md §9).
+///
+/// Lattice sweeps take a fourth path, `evaluate_lattice`, chosen by the
+/// input type rather than a setting: it walks beacon-major, so each beacon
+/// visits only the lattice points in its own certain-out disk's bounding
+/// box, and it writes the same bits as every arm above.
 #pragma once
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "field/beacon_soa.h"
+#include "geom/lattice.h"
 #include "geom/vec2.h"
 #include "radio/propagation.h"
 
@@ -103,8 +110,22 @@ class SurveyKernel {
   /// Evaluate with an explicit arm (property tests / CI pin both arms).
   void evaluate(SurveyBatch& batch, SurveyBackend backend) const;
 
+  /// Evaluate the lattice sub-grid `cols × rows` (points
+  /// `Lattice2D::point(i, j)`), beacon-major. Point (i, j)'s sum and count
+  /// land at the row-major offset `(j − rows.begin)·|cols| + (i − cols.begin)`
+  /// of the three outputs, each at least |cols|·|rows| long. The same bits
+  /// `evaluate` gives on those points; `ABP_SURVEY_BACKEND` does not apply.
+  void evaluate_lattice(const Lattice2D& lattice, Lattice2D::IndexRange cols,
+                        Lattice2D::IndexRange rows, std::span<double> sum_x,
+                        std::span<double> sum_y,
+                        std::span<std::uint32_t> counts) const;
+
   /// Single-point evaluation (scalar arm, no allocation).
   ConnectedSum evaluate_point(Vec2 p) const;
+
+  /// Does the beacon at SoA index `b` connect to `p`? The predicate every
+  /// path applies to that pair.
+  bool beacon_connected(std::size_t b, Vec2 p) const;
 
   /// Connected beacons at `p`, ascending id (batched `connected_beacons`).
   std::vector<Beacon> connected_list(Vec2 p) const;
@@ -142,7 +163,8 @@ class SurveyKernel {
     std::vector<double> nf;              // per-beacon noise factor
     std::vector<std::uint64_t> prefix;   // per-beacon u-draw hash prefix
     // Per-beacon squared certain-in/out radii, R(1 - nf) and R(1 + nf):
-    // the chunk arms' band is each beacon's own, inside the global one.
+    // the chunk arms' and the lattice path's band is each beacon's own,
+    // inside the global one.
     std::vector<double> beacon_in2;
     std::vector<double> beacon_out2;
   };

@@ -73,22 +73,33 @@ struct FastView {
   return splitmix64_mix(word + round * kStableHashRound);
 }
 
-/// `resume_u_draw` from premixed point words: three mixes instead of five,
-/// the same bits by the identity above.
-[[gnu::always_inline]] static inline double resume_u_draw_premixed(
-    std::uint64_t prefix, std::uint64_t pxw, std::uint64_t pyw) {
-  std::uint64_t s = splitmix64_mix(prefix ^ pxw);
-  s = splitmix64_mix(s ^ pyw);
-  return hash_to_symmetric(stable_hash64_finalize(s, 6));
+/// The first of the three mixes left once the point words are premixed:
+/// the beacon prefix with the x word (round 5). It depends on the beacon
+/// and the column alone, so the lattice path takes it once per pair.
+[[gnu::always_inline]] static inline std::uint64_t premix_column(
+    std::uint64_t prefix, std::uint64_t pxw) {
+  return splitmix64_mix(prefix ^ pxw);
 }
 
-/// `band_connected` from premixed point words (the chunk arms' form).
+/// `band_connected` from a beacon's `premix_column` word `s1` and the
+/// premixed y word (round 6): the last two mixes, the draw and the range
+/// test, in PerBeaconNoiseModel's op sequence.
+[[gnu::always_inline]] static inline bool band_connected_column(
+    const FastView& m, std::size_t b, double d2, std::uint64_t s1,
+    std::uint64_t pyw) {
+  const std::uint64_t s = splitmix64_mix(s1 ^ pyw);
+  const double u = hash_to_symmetric(stable_hash64_finalize(s, 6));
+  const double r = m.range * (1.0 + u * m.nf[b]);
+  return d2 <= r * r;
+}
+
+/// `band_connected` from premixed point words (the chunk arms' form): three
+/// mixes instead of five, the same bits by the identity above.
 [[gnu::always_inline]] static inline bool band_connected_premixed(
     const FastView& m, std::size_t b, double d2, std::uint64_t pxw,
     std::uint64_t pyw) {
-  const double u = resume_u_draw_premixed(m.prefix[b], pxw, pyw);
-  const double r = m.range * (1.0 + u * m.nf[b]);
-  return d2 <= r * r;
+  return band_connected_column(m, b, d2, premix_column(m.prefix[b], pxw),
+                               pyw);
 }
 
 /// Signature of a chunk evaluator arm: accumulate every candidate beacon

@@ -1,7 +1,9 @@
 #include "common/stats.h"
 
+#include <algorithm>
 #include <cmath>
 #include <gtest/gtest.h>
+#include <vector>
 
 #include "common/assert.h"
 #include "rng/rng.h"
@@ -48,6 +50,40 @@ TEST(Stats, QuantileEndpoints) {
 TEST(Stats, QuantileInterpolatesLinearly) {
   const double xs[] = {0.0, 10.0};
   EXPECT_DOUBLE_EQ(quantile(xs, 0.25), 2.5);
+}
+
+// quantile selects twice in one pass (nth_element, then the least element
+// past it); a full sort is the reference. Duplicates, negatives and zeros
+// of both signs, exact `==` and the same sign bit.
+TEST(Stats, QuantileEqualsSortedReference) {
+  Rng rng(0x5EED);
+  for (const std::size_t n : {std::size_t{1}, std::size_t{2}, std::size_t{3},
+                              std::size_t{10}, std::size_t{10201}}) {
+    for (int trial = 0; trial < 4; ++trial) {
+      std::vector<double> xs(n);
+      for (double& x : xs) {
+        switch (rng.below(4)) {
+          case 0: x = static_cast<double>(rng.below(7)) - 3.0; break;
+          case 1: x = rng.below(2) == 0 ? 0.0 : -0.0; break;
+          default: x = rng.uniform(-50.0, 50.0); break;
+        }
+      }
+      std::vector<double> sorted = xs;
+      std::sort(sorted.begin(), sorted.end());
+      for (const double q : {0.0, 0.1, 0.5, 0.9, 1.0}) {
+        const double pos = q * static_cast<double>(n - 1);
+        const std::size_t lo = static_cast<std::size_t>(pos);
+        const std::size_t hi = std::min(lo + 1, n - 1);
+        const double a = sorted[lo];
+        const double want =
+            a + (sorted[hi] - a) * (pos - static_cast<double>(lo));
+        const double got = quantile(xs, q);
+        EXPECT_EQ(got, want) << "n=" << n << " q=" << q;
+        EXPECT_EQ(std::signbit(got), std::signbit(want))
+            << "n=" << n << " q=" << q;
+      }
+    }
+  }
 }
 
 TEST(Stats, QuantileRejectsOutOfRange) {

@@ -99,6 +99,17 @@ TEST(Lattice, DiskIncludesBoundaryPoints) {
   EXPECT_FALSE(pts.count(l.index(13, 11)));  // distance sqrt(10) > 3
 }
 
+TEST(Lattice, DiskRangeClampsFarCenters) {
+  // A center far past an edge clamps to that edge's ordinate; the clamp is
+  // taken before any conversion to an index.
+  const Lattice2D l = paper_lattice();
+  const Lattice2D::BoxRange far = l.disk_range({1e300, -1e300}, 15.0);
+  EXPECT_EQ(far.cols.begin, 100u);
+  EXPECT_EQ(far.cols.end, 101u);
+  EXPECT_EQ(far.rows.begin, 0u);
+  EXPECT_EQ(far.rows.end, 1u);
+}
+
 TEST(Lattice, BoxEnumerationMatchesBruteForce) {
   const Lattice2D l(AABB::square(50.0), 1.0);
   const AABB box({12.5, 3.0}, {30.0, 18.2});

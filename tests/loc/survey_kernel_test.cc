@@ -12,6 +12,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "field/generators.h"
@@ -325,6 +327,221 @@ TEST(SurveyKernel, ErrorMapBatchedEqualsDirectPerPoint) {
     EXPECT_EQ(map.value(flat), loc.error(p));
     EXPECT_EQ(map.connected(flat), loc.localize(p).connected);
   });
+}
+
+// ---- evaluate_lattice: the beacon-major lattice path -------------------
+
+/// Lattices of the paper's 1 m step and of finer, coarser and non-binary
+/// steps, on a square at the origin and on offset non-square bounds.
+std::vector<Lattice2D> lattice_geometries() {
+  std::vector<Lattice2D> out;
+  for (const double step : {0.5, 0.7, 1.0, 2.0}) {
+    const double side = step * std::round(48.0 / step);
+    out.emplace_back(AABB::square(side), step);
+    const Vec2 lo{-17.3, 4.1};
+    out.emplace_back(
+        AABB(lo, lo + Vec2{step * std::round(57.0 / step),
+                           step * std::round(35.0 / step)}),
+        step);
+  }
+  return out;
+}
+
+enum class LatticeFieldKind {
+  kEmpty,
+  kSingleton,
+  kUniform,
+  kClustered,
+  kOnOrdinates
+};
+
+/// A field over the lattice's bounds widened by 20 m, so some disks are
+/// clipped by the lattice edges and some beacons lie outside it.
+BeaconField lattice_field(const Lattice2D& lattice, LatticeFieldKind kind,
+                          std::uint64_t seed) {
+  const AABB lb = lattice.bounds();
+  BeaconField field(AABB(lb.lo - Vec2{20.0, 20.0}, lb.hi + Vec2{20.0, 20.0}));
+  const AABB& fb = field.bounds();
+  Rng rng(seed);
+  const auto anywhere = [&] {
+    return Vec2{rng.uniform(fb.lo.x, fb.hi.x), rng.uniform(fb.lo.y, fb.hi.y)};
+  };
+  switch (kind) {
+    case LatticeFieldKind::kEmpty:
+      break;
+    case LatticeFieldKind::kSingleton:
+      field.add(lb.center());
+      break;
+    case LatticeFieldKind::kUniform:
+      for (int i = 0; i < 40; ++i) field.add(anywhere());
+      break;
+    case LatticeFieldKind::kClustered:
+      for (int c = 0; c < 4; ++c) {
+        const Vec2 center = anywhere();
+        for (int i = 0; i < 8; ++i) {
+          field.add(fb.clamp(center + Vec2{rng.uniform(-3.0, 3.0),
+                                           rng.uniform(-3.0, 3.0)}));
+        }
+      }
+      break;
+    case LatticeFieldKind::kOnOrdinates:
+      // On lattice points (exact boundary distances along both axes, and
+      // disk boxes whose ends fall on ordinates), on row ordinates between
+      // columns, and halfway between two columns.
+      for (int i = 0; i < 12; ++i) {
+        field.add(lattice.point(rng.below(lattice.nx()),
+                                rng.below(lattice.ny())));
+        field.add({rng.uniform(lb.lo.x, lb.hi.x),
+                   lattice.point(0, rng.below(lattice.ny())).y});
+        const Vec2 p =
+            lattice.point(rng.below(lattice.nx() - 1), rng.below(lattice.ny()));
+        field.add({p.x + 0.5 * lattice.step(), p.y});
+      }
+      break;
+  }
+  return field;
+}
+
+/// `evaluate_lattice` on `cols × rows` against the scalar arm on the same
+/// points, exact `==`. The outputs start as garbage to check they are reset.
+void expect_lattice_matches_scalar(const SurveyKernel& kernel,
+                                   const Lattice2D& lattice,
+                                   Lattice2D::IndexRange cols,
+                                   Lattice2D::IndexRange rows,
+                                   const std::string& what) {
+  const std::size_t n = cols.size() * rows.size();
+  std::vector<double> sx(n, -1.0), sy(n, -2.0);
+  std::vector<std::uint32_t> cnt(n, 99);
+  kernel.evaluate_lattice(lattice, cols, rows, sx, sy, cnt);
+  SurveyBatch batch;
+  for (std::size_t j = rows.begin; j < rows.end; ++j) {
+    for (std::size_t i = cols.begin; i < cols.end; ++i) {
+      batch.push(lattice.point(i, j));
+    }
+  }
+  kernel.evaluate(batch, SurveyBackend::kScalar);
+  std::size_t mismatches = 0;
+  for (std::size_t k = 0; k < n; ++k) {
+    if (cnt[k] != batch.counts[k] || sx[k] != batch.sum_x[k] ||
+        sy[k] != batch.sum_y[k]) {
+      ++mismatches;
+      ADD_FAILURE() << what << " @" << k << " " << batch.point(k)
+                    << ": count " << cnt[k] << " vs " << batch.counts[k]
+                    << ", sum (" << sx[k] << ", " << sy[k] << ") vs ("
+                    << batch.sum_x[k] << ", " << batch.sum_y[k] << ")";
+      if (mismatches > 5) return;
+    }
+  }
+}
+
+/// The full lattice and its awkward sub-grids: empty, 1×1, one row, one
+/// column, clipped at each edge, and each beacon's disk bounding box.
+void expect_lattice_subgrids_match(const SurveyKernel& kernel,
+                                   const Lattice2D& lattice,
+                                   const std::string& what) {
+  using R = Lattice2D::IndexRange;
+  const std::size_t nx = lattice.nx();
+  const std::size_t ny = lattice.ny();
+  const R all_c{0, nx};
+  const R all_r{0, ny};
+  const std::vector<std::pair<R, R>> grids = {
+      {all_c, all_r},
+      {R{3, 3}, all_r},
+      {all_c, R{ny / 2, ny / 2}},
+      {R{nx / 2, nx / 2 + 1}, R{ny / 3, ny / 3 + 1}},
+      {all_c, R{ny / 2, ny / 2 + 1}},
+      {R{nx / 3, nx / 3 + 1}, all_r},
+      {R{0, nx / 3}, all_r},
+      {R{2 * nx / 3, nx}, all_r},
+      {all_c, R{0, ny / 4}},
+      {all_c, R{3 * ny / 4, ny}},
+      {R{nx / 4, 3 * nx / 4}, R{ny / 5, 4 * ny / 5}},
+  };
+  for (std::size_t g = 0; g < grids.size(); ++g) {
+    expect_lattice_matches_scalar(kernel, lattice, grids[g].first,
+                                  grids[g].second,
+                                  what + " grid " + std::to_string(g));
+  }
+  const BeaconSoA& soa = kernel.soa();
+  for (std::size_t b = 0; b < soa.size(); b += 7) {
+    const Lattice2D::BoxRange box = lattice.disk_range(
+        soa.beacon(b).pos, kernel.model().max_range());
+    expect_lattice_matches_scalar(kernel, lattice, box.cols, box.rows,
+                                  what + " disk " + std::to_string(b));
+  }
+}
+
+class LatticeKernelNoise : public ::testing::TestWithParam<double> {};
+
+TEST_P(LatticeKernelNoise, LatticeEqualsScalarOnEverySubGrid) {
+  const double noise = GetParam();
+  for (const Lattice2D& lattice : lattice_geometries()) {
+    for (const auto kind :
+         {LatticeFieldKind::kEmpty, LatticeFieldKind::kSingleton,
+          LatticeFieldKind::kUniform, LatticeFieldKind::kClustered,
+          LatticeFieldKind::kOnOrdinates}) {
+      const BeaconField field = lattice_field(
+          lattice, kind, 0x1A77 + static_cast<std::uint64_t>(kind));
+      const PerBeaconNoiseModel model(15.0, noise, 0x5EED);
+      const SurveyKernel kernel(field, model);
+      ASSERT_TRUE(kernel.fast_path());
+      std::ostringstream what;
+      what << "noise " << noise << " step " << lattice.step() << " lo "
+           << lattice.bounds().lo << " kind " << static_cast<int>(kind);
+      expect_lattice_subgrids_match(kernel, lattice, what.str());
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(NoiseSettings, LatticeKernelNoise,
+                         ::testing::Values(0.0, 0.1, 0.3, 0.5));
+
+TEST(SurveyKernel, LatticeIdealAndFallbackModelsEqualScalar) {
+  const IdealDiskModel ideal(15.0);
+  const LogNormalShadowingModel lognormal(15.0, 3.0, 4.0, 0x77);
+  for (const Lattice2D& lattice : lattice_geometries()) {
+    for (const auto kind :
+         {LatticeFieldKind::kSingleton, LatticeFieldKind::kClustered,
+          LatticeFieldKind::kOnOrdinates}) {
+      const BeaconField field = lattice_field(
+          lattice, kind, 0x2B88 + static_cast<std::uint64_t>(kind));
+      const SurveyKernel fast(field, ideal);
+      const SurveyKernel fallback(field, lognormal);
+      ASSERT_TRUE(fast.fast_path());
+      ASSERT_FALSE(fallback.fast_path());
+      std::ostringstream what;
+      what << "step " << lattice.step() << " lo " << lattice.bounds().lo
+           << " kind " << static_cast<int>(kind);
+      expect_lattice_subgrids_match(fast, lattice, "ideal " + what.str());
+      // The virtual predicate is slow; the coarser lattices cover its path.
+      if (lattice.step() >= 1.0) {
+        expect_lattice_subgrids_match(fallback, lattice,
+                                      "lognormal " + what.str());
+      }
+    }
+  }
+}
+
+TEST(SurveyKernel, BeaconConnectedMatchesEvaluatePoint) {
+  const BeaconField field = make_field(32, 0x3C, /*clustered=*/true);
+  const PerBeaconNoiseModel model(15.0, 0.5, 0x4D);
+  const SurveyKernel kernel(field, model);
+  std::vector<Vec2> pts = make_points(256, 0x5E);
+  const std::vector<Vec2> edges = band_edge_points(field, model);
+  pts.insert(pts.end(), edges.begin(), edges.end());
+  for (Vec2 p : pts) {
+    ConnectedSum sum;
+    for (std::size_t b = 0; b < kernel.soa().size(); ++b) {
+      if (kernel.beacon_connected(b, p)) {
+        sum.sum += kernel.soa().beacon(b).pos;
+        ++sum.count;
+      }
+    }
+    const ConnectedSum want = kernel.evaluate_point(p);
+    EXPECT_EQ(want.count, sum.count);
+    EXPECT_EQ(want.sum.x, sum.sum.x);
+    EXPECT_EQ(want.sum.y, sum.sum.y);
+  }
 }
 
 TEST(SurveyKernel, DefaultBackendHonorsEnvOverride) {
