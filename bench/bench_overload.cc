@@ -16,9 +16,8 @@
 /// excess is shed immediately as `overloaded` (cheap, retryable), goodput
 /// stays at capacity and p99 stays near the 1× value.
 /// A second section sweeps concurrent-connection counts (64/256/1024 by
-/// default) over real TCP through both server transports: thread-per-
-/// connection (bounded by its worker pool) and the epoll event loop. Each
-/// cell drives closed-loop windowed pipelining per connection, reports
+/// default) over real TCP through the epoll server transport (2 shards).
+/// Each cell drives closed-loop windowed pipelining per connection, reports
 /// goodput and client latency, and reconciles the admission ledger
 /// (`submitted == completed + shed`) plus the transport's open-connection
 /// gauge (must be 0 after stop) — the same invariants the chaos suite
@@ -399,8 +398,8 @@ void scale_client_worker(std::uint16_t port, std::size_t conns,
   }
 }
 
-ScaleResult run_conn_scaling(TransportKind kind, std::size_t conns,
-                             double duration_s, const RunConfig& config) {
+ScaleResult run_conn_scaling(std::size_t conns, double duration_s,
+                             const RunConfig& config) {
   LocalizationService service(bench_config());
   service.add_field("default", make_field());
   Server::Options options;
@@ -410,10 +409,9 @@ ScaleResult run_conn_scaling(TransportKind kind, std::size_t conns,
   TransportOptions transport_options;
   transport_options.read_timeout_s = 10.0;
   transport_options.write_timeout_s = 10.0;
-  transport_options.conn_workers = conns;  // threaded: one thread per conn
   transport_options.event_shards = 2;
-  const std::unique_ptr<ServerTransport> transport =
-      make_server_transport(kind, server, transport_options);
+  const std::unique_ptr<ServerTransport> transport = make_server_transport(
+      TransportKind::kEpoll, server, transport_options);
   transport->start();
   FdHighWaterSampler fd_sampler;
 
@@ -480,10 +478,6 @@ int main(int argc, char** argv) {
   const std::string sweep_conns_flag =
       flags.get_string("sweep-conns", "64,256,1024");
   const double sweep_s = flags.get_double("sweep-s", 2.0);
-  // Thread-per-connection does not scale past its pool: run the threaded
-  // transport only up to this many connections (the epoll rows keep going).
-  const auto threaded_cap = static_cast<std::size_t>(
-      flags.get_int("threaded-conn-cap", 64));
   const std::string json_path = flags.get_string("json", "");
   flags.check_unused();
 
@@ -527,20 +521,16 @@ int main(int argc, char** argv) {
   if (sweep.empty()) return 0;
 
   const std::size_t fd_limit = raise_fd_limit();
-  std::cout << "\n=== Connection scaling: threaded vs epoll over TCP ===\n"
+  std::cout << "\n=== Connection scaling: epoll over TCP ===\n"
             << "fd limit " << fd_limit << ", per-conn window 4, workers "
             << config.workers << ", batch " << config.max_batch
             << ", sweep-s " << sweep_s << "\n\n";
 
   bool healthy = true;
-  double threaded_best_goodput = 0.0;
-  double epoll_last_goodput = 0.0;  ///< at the largest epoll conn count run
-  std::size_t epoll_last_conns = 0;
-  abp::TextTable scale_table({"transport", "conns", "goodput q/s", "p50 ms",
-                              "p99 ms", "dead", "fd hw", "submitted",
-                              "completed", "shed", "reconciled"});
+  abp::TextTable scale_table({"conns", "goodput q/s", "p50 ms", "p99 ms",
+                              "dead", "fd hw", "submitted", "completed",
+                              "shed", "reconciled"});
   struct SweepRow {
-    TransportKind kind;
     std::size_t conns;
     double goodput;
     double p50_ms;
@@ -548,54 +538,36 @@ int main(int argc, char** argv) {
     ScaleResult result;
   };
   std::vector<SweepRow> sweep_rows;
-  for (const TransportKind kind :
-       {TransportKind::kThreaded, TransportKind::kEpoll}) {
-    for (const std::size_t conns : sweep) {
-      if (kind == TransportKind::kThreaded && conns > threaded_cap) {
-        std::cout << "note: skipping threaded @ " << conns
-                  << " connections (thread-per-connection capped at "
-                  << threaded_cap << "; raise --threaded-conn-cap to force)\n";
-        continue;
-      }
-      // Server+client fds live in this one process: ~2 per connection plus
-      // listener/epoll/eventfd overhead.
-      if (conns * 2 + 64 > fd_limit) {
-        std::cout << "note: skipping " << transport_kind_name(kind) << " @ "
-                  << conns << " connections (needs ~" << conns * 2 + 64
-                  << " fds, limit " << fd_limit << ")\n";
-        continue;
-      }
-      const ScaleResult r = run_conn_scaling(kind, conns, sweep_s, config);
-      const double goodput = static_cast<double>(r.ok) / r.elapsed_s;
-      if (kind == TransportKind::kThreaded) {
-        threaded_best_goodput = std::max(threaded_best_goodput, goodput);
-      } else {
-        epoll_last_goodput = goodput;
-        epoll_last_conns = conns;
-      }
-      scale_table.add_row(
-          {transport_kind_name(kind), std::to_string(conns),
-           std::to_string(static_cast<std::uint64_t>(goodput)),
-           abp::TextTable::fmt(r.latency_us.p50() / 1e3, 2),
-           abp::TextTable::fmt(r.latency_us.p99() / 1e3, 2),
-           std::to_string(r.dead_conns), std::to_string(r.fd_high_water),
-           std::to_string(r.submitted), std::to_string(r.completed),
-           std::to_string(r.shed), r.reconciled ? "yes" : "NO"});
-      sweep_rows.push_back({kind, conns, goodput, r.latency_us.p50() / 1e3,
-                            r.latency_us.p99() / 1e3, r});
-      if (!r.reconciled) {
-        healthy = false;
-        std::cout << "RECONCILIATION FAILURE: " << transport_kind_name(kind)
-                  << " @ " << conns << ": submitted " << r.submitted
-                  << " != completed " << r.completed << " + shed " << r.shed
-                  << "\n";
-      }
-      if (r.open_after_stop != 0) {
-        healthy = false;
-        std::cout << "LEAK: " << transport_kind_name(kind) << " @ " << conns
-                  << " still reports " << r.open_after_stop
-                  << " open connections after stop()\n";
-      }
+  for (const std::size_t conns : sweep) {
+    // Server+client fds live in this one process: ~2 per connection plus
+    // listener/epoll/eventfd overhead.
+    if (conns * 2 + 64 > fd_limit) {
+      std::cout << "note: skipping " << conns << " connections (needs ~"
+                << conns * 2 + 64 << " fds, limit " << fd_limit << ")\n";
+      continue;
+    }
+    const ScaleResult r = run_conn_scaling(conns, sweep_s, config);
+    const double goodput = static_cast<double>(r.ok) / r.elapsed_s;
+    scale_table.add_row(
+        {std::to_string(conns),
+         std::to_string(static_cast<std::uint64_t>(goodput)),
+         abp::TextTable::fmt(r.latency_us.p50() / 1e3, 2),
+         abp::TextTable::fmt(r.latency_us.p99() / 1e3, 2),
+         std::to_string(r.dead_conns), std::to_string(r.fd_high_water),
+         std::to_string(r.submitted), std::to_string(r.completed),
+         std::to_string(r.shed), r.reconciled ? "yes" : "NO"});
+    sweep_rows.push_back({conns, goodput, r.latency_us.p50() / 1e3,
+                          r.latency_us.p99() / 1e3, r});
+    if (!r.reconciled) {
+      healthy = false;
+      std::cout << "RECONCILIATION FAILURE @ " << conns << ": submitted "
+                << r.submitted << " != completed " << r.completed
+                << " + shed " << r.shed << "\n";
+    }
+    if (r.open_after_stop != 0) {
+      healthy = false;
+      std::cout << "LEAK @ " << conns << ": still reports "
+                << r.open_after_stop << " open connections after stop()\n";
     }
   }
   scale_table.print(std::cout);
@@ -608,8 +580,7 @@ int main(int argc, char** argv) {
     for (std::size_t i = 0; i < sweep_rows.size(); ++i) {
       const SweepRow& row = sweep_rows[i];
       const ScaleResult& r = row.result;
-      json << "  {\"transport\": \"" << transport_kind_name(row.kind)
-           << "\", \"conns\": " << row.conns
+      json << "  {\"transport\": \"epoll\", \"conns\": " << row.conns
            << ", \"goodput_qps\": " << static_cast<std::uint64_t>(row.goodput)
            << ", \"p50_ms\": " << row.p50_ms << ", \"p99_ms\": " << row.p99_ms
            << ", \"dead_conns\": " << r.dead_conns
@@ -623,17 +594,9 @@ int main(int argc, char** argv) {
     json << "]\n";
     std::cout << "\nwrote sweep JSON to " << json_path << "\n";
   }
-  std::cout << "\nReading: the threaded transport's goodput is capped by its"
-               " connection pool, while the epoll rows hold goodput as"
-               " connections grow past the pool size — the event loop"
-               " multiplexes every socket onto a few loop threads, so the"
+  std::cout << "\nReading: the event loop multiplexes every socket onto its"
+               " shard threads, so goodput holds as connections grow and the"
                " concurrent-connection ceiling is the fd limit, not a thread"
                " count.\n";
-  if (threaded_best_goodput > 0.0 && epoll_last_goodput > 0.0) {
-    std::cout << "epoll @ " << epoll_last_conns << " conns vs threaded best: "
-              << abp::TextTable::fmt(
-                     epoll_last_goodput / threaded_best_goodput, 2)
-              << "x goodput\n";
-  }
   return healthy ? 0 : 1;
 }

@@ -10,10 +10,10 @@
 /// configurations must beat batch=1 because B queued queries share one
 /// deployment-lock acquisition and one spatial-index walk.
 /// `BM_TcpConnectionScaling` extends the grid over real TCP: N pipelined
-/// connections (window 4 each) against both server transports, showing
-/// where thread-per-connection saturates its pool and the epoll event loop
-/// keeps scaling. All load generation goes through the `ClientTransport`
-/// interface (`send_async`/`flush`) — no transport-specific casts.
+/// connections (window 4 each) against the epoll server transport, showing
+/// goodput as connections grow. All load generation goes through the
+/// `ClientTransport` interface (`send_async`/`flush`) — no
+/// transport-specific casts.
 #include <benchmark/benchmark.h>
 
 #include <memory>
@@ -151,13 +151,10 @@ BENCHMARK(BM_ServePointThroughput)
     ->UseRealTime();
 
 /// Real-TCP scaling: `conns` pipelined client connections, window 4 each,
-/// against the threaded (arg 0) or epoll (arg 1) server transport. Goodput
-/// per iteration is conns × 4 requests, all flushed through the
-/// `ClientTransport` interface.
+/// against the epoll server transport (2 shards). Goodput per iteration is
+/// conns × 4 requests, all flushed through the `ClientTransport` interface.
 void BM_TcpConnectionScaling(benchmark::State& state) {
-  const TransportKind kind =
-      state.range(0) == 0 ? TransportKind::kThreaded : TransportKind::kEpoll;
-  const auto conns = static_cast<std::size_t>(state.range(1));
+  const auto conns = static_cast<std::size_t>(state.range(0));
   constexpr std::size_t kConnWindow = 4;
 
   LocalizationService service(bench_config());
@@ -167,10 +164,9 @@ void BM_TcpConnectionScaling(benchmark::State& state) {
   options.max_batch = 16;
   Server server(service, options);
   TransportOptions transport_options;
-  transport_options.conn_workers = conns;  // threaded: one thread per conn
   transport_options.event_shards = 2;
-  const std::unique_ptr<ServerTransport> transport =
-      make_server_transport(kind, server, transport_options);
+  const std::unique_ptr<ServerTransport> transport = make_server_transport(
+      TransportKind::kEpoll, server, transport_options);
   transport->start();
 
   std::vector<std::unique_ptr<TcpClientTransport>> clients;
@@ -201,11 +197,9 @@ void BM_TcpConnectionScaling(benchmark::State& state) {
 }
 
 BENCHMARK(BM_TcpConnectionScaling)
-    ->ArgNames({"epoll", "conns"})
-    ->Args({0, 8})
-    ->Args({0, 64})
-    ->Args({1, 8})
-    ->Args({1, 64})
+    ->ArgNames({"conns"})
+    ->Arg(8)
+    ->Arg(64)
     ->UseRealTime();
 
 }  // namespace

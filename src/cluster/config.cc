@@ -3,6 +3,7 @@
 #include <set>
 
 #include "common/assert.h"
+#include "serve/config.h"
 
 namespace abp::cluster {
 
@@ -33,12 +34,7 @@ RouterConfig RouterConfig::from_flags(const Flags& flags) {
       .number("write-timeout-s", &config.write_timeout_s)
       .parse(flags);
 
-  const std::string transport = flags.get_string("transport", "threaded");
-  const std::optional<serve::TransportKind> kind =
-      serve::transport_kind_from_name(transport);
-  ABP_CHECK(kind.has_value(),
-            "unknown --transport: " + transport + " (want threaded|epoll)");
-  config.transport = *kind;
+  config.transport = serve::transport_from_flags(flags);
 
   config.validate();
   return config;
@@ -68,10 +64,6 @@ void RouterConfig::validate() const {
   ABP_CHECK(failure_threshold >= 1,
             "--failure-threshold must be at least 1");
   ABP_CHECK(connect_timeout_s > 0.0, "--connect-timeout-s must be positive");
-  if (event_shards > 1) {
-    ABP_CHECK(transport == serve::TransportKind::kEpoll,
-              "--event-shards > 1 requires --transport epoll");
-  }
   ABP_CHECK(read_timeout_s > 0.0 && write_timeout_s > 0.0,
             "timeouts must be positive");
   ABP_CHECK(cache_entries >= 1, "--cache-entries must be at least 1");
@@ -109,7 +101,6 @@ serve::TransportOptions RouterConfig::transport_options() const {
   options.read_timeout_s = read_timeout_s;
   options.write_timeout_s = write_timeout_s;
   options.max_inflight = max_inflight;
-  options.conn_workers = 2;
   options.event_shards = event_shards;
   return options;
 }

@@ -60,7 +60,7 @@ struct RouterConfig {
   std::string name = "default";
 
   /// Client-facing transport (same surface as `abp serve`).
-  serve::TransportKind transport = serve::TransportKind::kThreaded;
+  serve::TransportKind transport = serve::TransportKind::kEpoll;
   std::uint16_t port = 0;
   std::size_t event_shards = 1;
   std::size_t max_inflight = 0;

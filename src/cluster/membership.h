@@ -12,8 +12,8 @@
 ///    of the ring) — and every ring-changing transition bumps a monotonic
 ///    **epoch**. Readers never lock the table: it publishes an immutable
 ///    `MembershipView` (epoch + active-only `HashRing` + state map) behind a
-///    `shared_ptr` swap, the same pattern the deployment filter uses, so the
-///    router's hot path grabs one consistent placement per request.
+///    `shared_ptr` swap, so the router's hot path grabs one consistent
+///    placement per request.
 ///  * `MembershipController` executes the `admin` wire verbs. **add**: pool
 ///    the joiner, compute the deterministic `HashRing::transfer_set` against
 ///    the prospective ring, ship snapshot installs + mutation-log suffixes

@@ -3,6 +3,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <memory>
+#include <mutex>
 #include <random>
 #include <utility>
 
@@ -34,30 +35,11 @@ Replicator::Replicator(BackendPool& pool, const MembershipTable& membership,
 
 std::uint64_t Replicator::set_deployment(const std::string& name,
                                          std::string field_text) {
-  const std::uint64_t version = log_.install(name, std::move(field_text));
-  // Republish the membership filter over the updated name set. Rebuilding
-  // whole is cheap (names are few) and keeps the filter immutable once
-  // published — readers grab the shared_ptr and never see a partial build.
-  auto filter = std::make_shared<DeploymentFilter>();
-  filter->rebuild(log_.names());
-  {
-    std::lock_guard<std::mutex> lock(filter_mu_);
-    filter_ = std::move(filter);
-  }
-  return version;
+  return log_.install(name, std::move(field_text));
 }
 
 std::uint64_t Replicator::version(const std::string& name) const {
   return log_.version(name);
-}
-
-bool Replicator::possibly_deployed(const std::string& name) const {
-  std::shared_ptr<const DeploymentFilter> filter;
-  {
-    std::lock_guard<std::mutex> lock(filter_mu_);
-    filter = filter_;
-  }
-  return filter != nullptr && filter->may_contain(name);
 }
 
 std::uint64_t Replicator::read_version(const std::string& name) const {

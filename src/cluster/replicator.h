@@ -28,13 +28,10 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
 #include "cluster/backend_pool.h"
-#include "cluster/deployment_filter.h"
 #include "cluster/membership.h"
 #include "cluster/mutation_log.h"
 #include "cluster/ring.h"
@@ -58,12 +55,6 @@ class Replicator {
 
   /// Current version for `name`; 0 when unknown.
   std::uint64_t version(const std::string& name) const;
-
-  /// Membership pre-check from the compact filter rebuilt on every
-  /// `set_deployment`: false means `name` is definitely not deployed (the
-  /// router answers `not-found` locally, no registry lookup); true may be
-  /// a false positive, so callers still consult `version()`.
-  bool possibly_deployed(const std::string& name) const;
 
   /// Version reads should be fenced at: the last quorum-acked write (or the
   /// install version before any write). Never an in-flight version, so a
@@ -121,10 +112,6 @@ class Replicator {
   /// of this log's versions and still accept a restarted router's.
   const std::uint64_t incarnation_;
   MutationLog log_;
-  /// Name-membership filter, republished whole on every deployment change
-  /// (immutable once published; the mutex only guards the pointer swap).
-  mutable std::mutex filter_mu_;
-  std::shared_ptr<const DeploymentFilter> filter_;
 };
 
 }  // namespace abp::cluster

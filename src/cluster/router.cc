@@ -143,17 +143,8 @@ void Router::submit(std::string payload,
       return;
     }
   }
-  if (!replicator_->possibly_deployed(request->field)) {
-    // The membership filter proved the name absent — answer locally, no
-    // registry lookup. (A false positive falls through to the
-    // authoritative check below and earns the identical answer.)
-    metrics_->record_filter_reject();
-    metrics_->record_local();
-    reply(rejection_payload(request->seq, serve::Status::kNotFound,
-                            "unknown deployment '" + request->field + "'"));
-    return;
-  }
   if (replicator_->version(request->field) == 0) {
+    metrics_->record_filter_reject();
     metrics_->record_local();
     reply(rejection_payload(request->seq, serve::Status::kNotFound,
                             "unknown deployment '" + request->field + "'"));
@@ -204,25 +195,32 @@ void Router::handle_admin(const serve::Request& request,
           backend.back() == ' ')) {
     backend.pop_back();
   }
-  AdminResult result;
+  const std::uint64_t seq = request.seq;
   if (request.algorithm == "status") {
-    result = admin_->status();
+    answer_admin(seq, admin_->status(), reply);
   } else if (request.algorithm == "add") {
-    result = admin_->add(backend);
+    admin_worker_.submit([this, seq, backend, reply] {
+      answer_admin(seq, admin_->add(backend), reply);
+    });
   } else if (request.algorithm == "drain") {
-    result = admin_->drain(backend);
+    admin_worker_.submit([this, seq, backend, reply] {
+      answer_admin(seq, admin_->drain(backend), reply);
+    });
   } else {
     reply(rejection_payload(request.seq, serve::Status::kBadRequest,
                             "admin verb must be add|drain|status (got '" +
                                 request.algorithm + "')"));
-    return;
   }
+}
+
+void Router::answer_admin(std::uint64_t seq, AdminResult result,
+                          const std::function<void(std::string)>& reply) {
   if (!result.ok) {
-    reply(rejection_payload(request.seq, result.status, result.message));
+    reply(rejection_payload(seq, result.status, result.message));
     return;
   }
   serve::Response response;
-  response.seq = request.seq;
+  response.seq = seq;
   response.status = serve::Status::kOk;
   response.text = std::move(result.text);
   reply(serve::format_response_capped(response));

@@ -14,10 +14,8 @@
 ///  * With quotas on, every other request first spends a token from its
 ///    principal's bucket; an empty bucket sheds retryable `overloaded`
 ///    with a `retry-after` hint from that principal's own refill deficit.
-///  * Requests naming a deployment the membership filter proves absent are
-///    answered `not-found` locally (`Replicator::possibly_deployed`); a
-///    filter false positive falls through to the authoritative registry
-///    and gets the identical answer, one lookup slower.
+///  * Requests naming a deployment the replicator's registry does not hold
+///    (`Replicator::version` reads 0) are answered `not-found` locally.
 ///  * Cacheable endpoints (`EndpointTraits::cacheable`) consult the
 ///    version-fenced response cache: a hit at the current read fence is
 ///    answered from memory, byte-identical to the forwarded response it
@@ -88,6 +86,7 @@
 #include "cluster/replicator.h"
 #include "cluster/response_cache.h"
 #include "cluster/ring.h"
+#include "common/thread_pool.h"
 #include "serve/frame_sink.h"
 #include "serve/metrics.h"
 #include "serve/quota.h"
@@ -195,9 +194,13 @@ class Router final : public serve::FrameSink {
                     const std::function<void(std::string)>& reply);
 
   /// Membership admin plane: verb in `algorithm`, backend address in the
-  /// text block. Runs synchronously on the submit thread so the response
-  /// reports the completed (or rolled-back) transition.
+  /// text block. `status` answers inline. `add` and `drain` block until
+  /// their handoff completes or rolls back, so they run on `admin_worker_`
+  /// and reply from there: the submitting transport thread (an epoll
+  /// shard serving other connections) never waits on a handoff.
   void handle_admin(const serve::Request& request,
+                    const std::function<void(std::string)>& reply);
+  void answer_admin(std::uint64_t seq, AdminResult result,
                     const std::function<void(std::string)>& reply);
 
   /// Write path: append to the mutation log, fan the mutation out to all
@@ -226,6 +229,9 @@ class Router final : public serve::FrameSink {
   /// version order (the backends' fences would self-heal a reorder, but
   /// in-order delivery keeps the common path repair-free).
   std::mutex write_mu_;
+  /// Runs admin `add`/`drain`. Declared last so it is destroyed first:
+  /// its queued ops finish while `admin_` and `write_mu_` still exist.
+  ThreadPool admin_worker_{1};
 };
 
 }  // namespace abp::cluster

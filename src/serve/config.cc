@@ -1,6 +1,5 @@
 #include "serve/config.h"
 
-#include <algorithm>
 #include <sstream>
 #include <vector>
 
@@ -30,6 +29,14 @@ std::vector<Vec2> parse_point_list(const std::string& text) {
 
 }  // namespace
 
+TransportKind transport_from_flags(const Flags& flags) {
+  const std::string name = flags.get_string("transport", "epoll");
+  const std::optional<TransportKind> kind = transport_kind_from_name(name);
+  ABP_CHECK(kind.has_value(),
+            "unknown --transport '" + name + "': epoll is the only transport");
+  return *kind;
+}
+
 ServeConfig ServeConfig::from_flags(const Flags& flags) {
   ServeConfig config;
   FlagTable()
@@ -54,11 +61,7 @@ ServeConfig ServeConfig::from_flags(const Flags& flags) {
       .number("quota-burst", &config.quota_burst)
       .parse(flags);
 
-  const std::string transport = flags.get_string("transport", "threaded");
-  const std::optional<TransportKind> kind = transport_kind_from_name(transport);
-  ABP_CHECK(kind.has_value(),
-            "unknown --transport: " + transport + " (want threaded|epoll)");
-  config.transport = *kind;
+  config.transport = transport_from_flags(flags);
 
   config.validate();
   return config;
@@ -73,10 +76,6 @@ void ServeConfig::validate() const {
   } else {
     ABP_CHECK(in_path.empty() && out_path.empty(),
               "--in/--out only apply to --oneshot serving");
-  }
-  if (event_shards > 1) {
-    ABP_CHECK(transport == TransportKind::kEpoll,
-              "--event-shards > 1 requires --transport epoll");
   }
   ABP_CHECK(batch > 0, "--batch must be positive");
   ABP_CHECK(read_timeout_s > 0.0 && write_timeout_s > 0.0,
@@ -112,7 +111,6 @@ TransportOptions ServeConfig::transport_options() const {
   options.read_timeout_s = read_timeout_s;
   options.write_timeout_s = write_timeout_s;
   options.max_inflight = max_inflight;
-  options.conn_workers = std::max<std::size_t>(workers, 2);
   options.event_shards = event_shards;
   return options;
 }

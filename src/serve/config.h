@@ -10,8 +10,8 @@
 /// `TransportOptions`, `ServiceConfig`) via the accessors.
 ///
 /// Flag names predating the consolidation keep working unchanged; the
-/// transport redesign adds `--transport={threaded,epoll}`,
-/// `--event-shards N`, `--retry-after-ms H` and explicit
+/// transport flags are `--transport epoll` (the only kind, and the
+/// default), `--event-shards N`, `--retry-after-ms H` and explicit
 /// `--read-timeout-s`/`--write-timeout-s`. Parsing is declarative — each
 /// config binds its flags once through `abp::FlagTable` (common/flags.h),
 /// so per-flag shape validation and diagnostics are shared across `serve`,
@@ -28,6 +28,10 @@
 #include "serve/service.h"
 
 namespace abp::serve {
+
+/// `--transport` (default `epoll`, the only kind); shared by `abp serve`
+/// and `abp route`. Throws `CheckFailure` on any other name.
+TransportKind transport_from_flags(const Flags& flags);
 
 struct ServeConfig {
   std::string field_path;
@@ -56,7 +60,7 @@ struct ServeConfig {
   double quota_burst = 0.0;
 
   // Network transport.
-  TransportKind transport = TransportKind::kThreaded;
+  TransportKind transport = TransportKind::kEpoll;
   std::uint16_t port = 0;
   std::size_t event_shards = 1;
   double read_timeout_s = 30.0;

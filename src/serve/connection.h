@@ -1,10 +1,10 @@
 /// \file connection.h
-/// \brief Transport-agnostic per-connection state machine.
+/// \brief Socket-free per-connection state machine.
 ///
-/// Both server transports — the legacy thread-per-connection path
-/// (`TcpServerTransport`) and the epoll event loop
-/// (`EpollServerTransport`) — drive the same `Connection` object; only the
-/// socket-readiness mechanism differs. The state machine owns everything
+/// The server transport (`ServerTransport`, an epoll event loop) drives one
+/// `Connection` per accepted socket and only maps it onto readiness. The
+/// state machine stays a class of its own, apart from the transport, so
+/// the `Connection.*` suite drives it without sockets. It owns everything
 /// that must be correct regardless of how bytes arrive:
 ///
 ///  * **Frame reassembly** — received chunks feed a `FrameDecoder`; every
@@ -35,8 +35,7 @@
 /// the owning I/O thread only; reply completion arrives from any worker
 /// thread. The `wake` callback fires (outside the lock) whenever the write
 /// queue transitions empty → non-empty, which is how worker-thread replies
-/// reach an event loop parked in `epoll_wait` (via `eventfd`) or a
-/// connection thread parked in `poll`.
+/// reach an event loop parked in `epoll_wait` (via `eventfd`).
 #pragma once
 
 #include <cstdint>
@@ -162,7 +161,7 @@ struct Outbox {
   void consume(std::size_t n);
 };
 
-/// Socket helpers shared by both transports (the fd must be non-blocking).
+/// Socket helpers for the transport (the fd must be non-blocking).
 struct IoResult {
   std::size_t bytes = 0;    ///< bytes moved this call
   bool peer_closed = false; ///< read side: orderly shutdown from the peer

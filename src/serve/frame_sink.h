@@ -1,8 +1,8 @@
 /// \file frame_sink.h
 /// \brief The frame-consumer interface behind every server transport.
 ///
-/// PR 4 put one `Connection` state machine behind both server transports;
-/// this splits the other side of that seam. A `FrameSink` is whatever
+/// The server transport drives one `Connection` state machine per socket;
+/// this is the other side of that seam. A `FrameSink` is whatever
 /// consumes complete request frames and answers them through a callback:
 ///
 ///  * `Server` (server.h) — parses, batches and executes requests against a
@@ -11,7 +11,7 @@
 ///    replicas chosen by consistent hashing; what `abp route` fronts.
 ///
 /// Transports and connections only ever talk to this interface, so the
-/// entire socket layer (threaded and epoll, framing, ordered replies,
+/// entire socket layer (the epoll loop, framing, ordered replies,
 /// in-flight caps, watermarks, timeouts) is reused verbatim by the cluster
 /// routing tier.
 #pragma once

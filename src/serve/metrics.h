@@ -208,8 +208,9 @@ class RouterMetrics {
   void record_cache_hit();
   void record_cache_miss();
   void record_cache_invalidation(std::size_t entries_dropped);
-  /// Unknown-deployment request answered locally because the membership
-  /// filter proved the name is not deployed (no backend round-trip).
+  /// Unknown-deployment request answered locally: the registry does not
+  /// hold the name, so no backend round-trip. (Reported as
+  /// `router.filter-rejects`, the name the stats schema keeps.)
   void record_filter_reject();
   /// Per-principal quota shed: the bucket for `principal` was empty.
   void record_quota_shed(std::uint64_t principal);

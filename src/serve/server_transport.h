@@ -1,49 +1,64 @@
 /// \file server_transport.h
-/// \brief Server-side transport interface of the localization query
-/// service.
+/// \brief The server-side TCP transport of the localization query service:
+/// an epoll event loop over non-blocking sockets.
 ///
 /// A `ServerTransport` owns the listening socket and the lifecycle of every
 /// accepted connection, feeding complete frames into a `FrameSink` — a
 /// local `Server` or the cluster `Router` — and writing the
-/// (request-ordered) responses back. Two implementations speak the same
-/// wire protocol behind this interface:
+/// (request-ordered) responses back.
 ///
-///  * `TcpServerTransport` (tcp_transport.h) — the legacy thread-per-
-///    connection path: each accepted socket occupies one `ThreadPool`
-///    worker for its lifetime, so concurrency is capped at
-///    `conn_workers`.
-///  * `EpollServerTransport` (epoll_transport.h) — an event-loop path:
-///    one (or `event_shards`) epoll loop(s) own non-blocking sockets with
-///    per-connection state machines, lifting the concurrent-connection
-///    ceiling to the fd limit.
+/// One or more (`event_shards`) epoll event loops own every socket: the
+/// listener accepts until EAGAIN on shard 0 and hands each accepted fd to a
+/// shard round-robin; the shard's loop thread is then the only thread that
+/// ever reads or writes that socket, so the concurrent-connection ceiling
+/// is the fd limit, not a thread count. Request execution stays in the
+/// `Server`'s worker pool — a worker completing a reply posts a flush task
+/// to the owning loop (via its `eventfd`), so responses leave with
+/// event-driven latency and without cross-thread socket races.
 ///
-/// Both drive the shared `Connection` state machine (connection.h), so
-/// framing, reply ordering, in-flight caps and write watermarks behave
-/// identically; `abp serve --transport={threaded,epoll}` and the benches
-/// switch between them through `make_server_transport`.
+/// Per-connection behaviour (framing, ordered replies, in-flight shedding,
+/// write watermarks) is the `Connection` state machine (connection.h); this
+/// file only maps it onto epoll readiness:
+///
+///  * EPOLLIN is armed while `want_read()` — it drops out under watermark
+///    backpressure or after corrupt framing, so a level-triggered loop
+///    does not spin on data it refuses to read.
+///  * EPOLLOUT is armed only after a send hit EAGAIN; completed replies on
+///    an idle socket are written directly from the flush task.
+///  * Idle and write-stall timeouts are checked in the loop tick against
+///    the server's injectable clock (deterministic under `ManualClock`).
+///
+/// Graceful `stop()`: close the listener, shut down the read side of every
+/// connection, and give each shard a drain budget (the write timeout) to
+/// finish answering what it already accepted; leftovers are force-closed.
+///
+/// `abp serve`, `abp route` and the benches build it through
+/// `make_server_transport`; `--transport epoll` names the only kind.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <thread>
+#include <unordered_map>
+#include <vector>
+
+#include "serve/connection.h"
+#include "serve/event_loop.h"
 
 namespace abp::serve {
 
-class FrameSink;
-
 enum class TransportKind {
-  kThreaded,  ///< thread-per-connection on a fixed pool
-  kEpoll,     ///< non-blocking event loop(s)
+  kEpoll,  ///< non-blocking event loop(s)
 };
 
 const char* transport_kind_name(TransportKind kind);
 std::optional<TransportKind> transport_kind_from_name(std::string_view name);
 
-/// One options struct for both transports; fields that do not apply to a
-/// given kind are ignored (`conn_workers` by epoll, `event_shards` by
-/// threaded).
 struct TransportOptions {
   std::uint16_t port = 0;        ///< 0 = ephemeral (read back via port())
   double read_timeout_s = 5.0;   ///< idle-connection timeout
@@ -51,8 +66,7 @@ struct TransportOptions {
   /// Per-connection unanswered-request cap for pipelined clients;
   /// 0 = unbounded. Excess frames are shed with retryable `overloaded`.
   std::size_t max_inflight = 0;
-  std::size_t conn_workers = 4;  ///< threaded: pool size (= conn ceiling)
-  std::size_t event_shards = 1;  ///< epoll: independent event loops
+  std::size_t event_shards = 1;  ///< independent event loops
   /// Write-queue watermarks (bytes): reading from a peer pauses above the
   /// high mark and resumes under the low mark.
   std::size_t write_high_watermark = 1u << 20;
@@ -61,30 +75,80 @@ struct TransportOptions {
 
 class ServerTransport {
  public:
-  virtual ~ServerTransport() = default;
+  explicit ServerTransport(FrameSink& sink, TransportOptions options = {});
+  ~ServerTransport();
+
+  ServerTransport(const ServerTransport&) = delete;
+  ServerTransport& operator=(const ServerTransport&) = delete;
 
   /// Bind, listen on 127.0.0.1 and start serving. Throws `ServeError` on
   /// socket failure.
-  virtual void start() = 0;
+  void start();
 
   /// Graceful stop: stop accepting, let open connections finish writing
   /// every response they accepted (bounded by the write timeout), close
   /// everything. Idempotent.
-  virtual void stop() = 0;
+  void stop();
 
   /// Bound port (valid after start()).
-  virtual std::uint16_t port() const = 0;
-
-  virtual const char* name() const = 0;
+  std::uint16_t port() const { return port_; }
 
   /// Currently open connections. The chaos suite's fd/slot-leak probe:
   /// must read 0 once every client is gone (and always after stop()).
-  virtual std::size_t open_connections() const = 0;
+  std::size_t open_connections() const {
+    return open_conns_.load(std::memory_order_relaxed);
+  }
 
   /// Total connections accepted since start().
-  virtual std::uint64_t connections_accepted() const = 0;
+  std::uint64_t connections_accepted() const {
+    return accepted_.load(std::memory_order_relaxed);
+  }
+
+ private:
+  struct Conn {
+    int fd = -1;
+    std::shared_ptr<Connection> state;
+    Outbox outbox;            ///< frames fetched but not yet fully sent
+    std::uint32_t armed = 0;  ///< current epoll interest mask
+    bool peer_closed = false;
+  };
+
+  /// All shard state except the atomics is touched only by the shard's
+  /// loop thread (or before the thread starts / after it joins). The loop
+  /// lives behind a shared_ptr so a reply wake racing transport teardown
+  /// holds it alive through `post()` (the task then simply never runs).
+  struct Shard {
+    std::shared_ptr<EventLoop> loop = std::make_shared<EventLoop>();
+    std::thread thread;
+    std::unordered_map<std::uint64_t, Conn> conns;
+    double drain_deadline_ms = -1.0;  ///< server clock; <0 = not stopping
+  };
+
+  void accept_ready();
+  void install(Shard& shard, int fd, std::uint64_t id);
+  void handle_io(Shard& shard, std::uint64_t id, std::uint32_t events);
+  void flush(Shard& shard, std::uint64_t id);
+  void update_interest(Shard& shard, Conn& conn);
+  void close_conn(Shard& shard, std::uint64_t id);
+  void tick(Shard& shard);
+
+  FrameSink* sink_;
+  const TransportOptions options_;
+
+  int listen_fd_ = -1;
+  std::uint16_t port_ = 0;
+  std::vector<std::unique_ptr<Shard>> shards_;
+  std::uint64_t next_conn_id_ = 0;  ///< accept path (shard 0 thread) only
+
+  std::mutex stop_mu_;
+  bool stopped_ = false;
+  std::atomic<bool> stopping_{false};
+  std::atomic<std::size_t> open_conns_{0};
+  std::atomic<std::uint64_t> accepted_{0};
 };
 
+/// `kind` has one value; the factory and the `--transport` flag stay so
+/// callers and scripts that name the transport keep working.
 std::unique_ptr<ServerTransport> make_server_transport(
     TransportKind kind, FrameSink& sink, const TransportOptions& options = {});
 

@@ -4,14 +4,12 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
-#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
-#include <memory>
 #include <utility>
 
 #include "common/assert.h"
@@ -20,8 +18,7 @@ namespace abp::serve {
 
 namespace {
 
-/// Poll interval: the latency bound on stop/timeout checks, not on replies
-/// (those signal the per-connection eventfd).
+/// Poll interval: the granularity of the response and send timeouts.
 constexpr int kPollMs = 50;
 
 [[noreturn]] void throw_errno(const std::string& what) {
@@ -30,8 +27,8 @@ constexpr int kPollMs = 50;
 
 /// Write the whole buffer, looping over partial sends. `EINTR` restarts the
 /// send; `EAGAIN`/`EWOULDBLOCK` polls for writability and counts against
-/// `budget_ms`, so a peer that stops reading ("slow loris") costs at most
-/// the write timeout instead of wedging the caller.
+/// `budget_ms`, so a peer that stops reading costs at most that budget
+/// instead of wedging the caller.
 void send_all(int fd, std::string_view bytes, int budget_ms) {
   std::size_t sent = 0;
   int stalled_ms = 0;
@@ -57,177 +54,7 @@ void send_all(int fd, std::string_view bytes, int budget_ms) {
   }
 }
 
-/// Owns the per-connection wakeup eventfd. Reply wakes hold a weak_ptr to
-/// this holder: once the handler drops its reference, a late wake finds the
-/// weak_ptr expired instead of writing into a recycled fd number.
-struct EventFdHolder {
-  EventFdHolder() : fd(::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK)) {}
-  ~EventFdHolder() {
-    if (fd >= 0) ::close(fd);
-  }
-  void signal() const {
-    if (fd < 0) return;
-    const std::uint64_t one = 1;
-    [[maybe_unused]] const ssize_t n = ::write(fd, &one, sizeof one);
-  }
-  void drain() const {
-    if (fd < 0) return;
-    std::uint64_t count = 0;
-    while (::read(fd, &count, sizeof count) > 0) {
-    }
-  }
-  const int fd;
-};
-
 }  // namespace
-
-TcpServerTransport::TcpServerTransport(FrameSink& sink, Options options)
-    : sink_(&sink), options_(options), pool_(options.conn_workers) {}
-
-TcpServerTransport::~TcpServerTransport() { stop(); }
-
-std::size_t TcpServerTransport::open_connections() const {
-  std::lock_guard<std::mutex> lock(conn_mu_);
-  return conn_fds_.size();
-}
-
-void TcpServerTransport::start() {
-  ABP_CHECK(listen_fd_ < 0, "transport already started");
-  listen_fd_ =
-      ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC | SOCK_NONBLOCK, 0);
-  if (listen_fd_ < 0) throw_errno("socket");
-  const int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(options_.port);
-  if (::bind(listen_fd_, reinterpret_cast<const sockaddr*>(&addr),
-             sizeof addr) < 0) {
-    throw_errno("bind");
-  }
-  if (::listen(listen_fd_, SOMAXCONN) < 0) throw_errno("listen");
-  socklen_t len = sizeof addr;
-  if (::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len) <
-      0) {
-    throw_errno("getsockname");
-  }
-  port_ = ntohs(addr.sin_port);
-  acceptor_ = std::thread([this] { accept_loop(); });
-}
-
-void TcpServerTransport::accept_loop() {
-  while (!stopping_.load()) {
-    pollfd pfd{listen_fd_, POLLIN, 0};
-    const int ready = ::poll(&pfd, 1, kPollMs);
-    if (ready <= 0) continue;  // timeout or EINTR: re-check the stop flag
-    // Drain the whole backlog per wakeup so connection storms are not
-    // throttled to one accept per poll tick.
-    for (;;) {
-      const int fd = ::accept4(listen_fd_, nullptr, nullptr,
-                               SOCK_CLOEXEC | SOCK_NONBLOCK);
-      // EINTR and transient errors (ECONNABORTED, ...) end the round; the
-      // next poll retries rather than abandoning the listener.
-      if (fd < 0) break;
-      const int one = 1;
-      ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-      {
-        std::lock_guard<std::mutex> lock(conn_mu_);
-        if (stopping_.load()) {
-          ::close(fd);
-          continue;
-        }
-        conn_fds_.insert(fd);
-      }
-      accepted_.fetch_add(1, std::memory_order_relaxed);
-      pool_.submit([this, fd] { handle_connection(fd); });
-    }
-  }
-}
-
-void TcpServerTransport::handle_connection(int fd) {
-  Connection::Limits limits;
-  limits.max_inflight = options_.max_inflight;
-  limits.write_high_watermark = options_.write_high_watermark;
-  limits.write_low_watermark = options_.write_low_watermark;
-  const auto efd = std::make_shared<EventFdHolder>();
-  const auto state = std::make_shared<Connection>(
-      next_conn_id_.fetch_add(1), *sink_, limits,
-      [weak = std::weak_ptr<EventFdHolder>(efd)] {
-        if (const std::shared_ptr<EventFdHolder> holder = weak.lock()) {
-          holder->signal();
-        }
-      });
-  const double read_budget_ms = options_.read_timeout_s * 1e3;
-  const double write_budget_ms = options_.write_timeout_s * 1e3;
-  Outbox outbox;
-  bool peer_closed = false;
-  for (;;) {
-    // Exit once everything accepted has been answered and written — on
-    // peer close, corrupt framing, or graceful stop (stop() sends SHUT_RD,
-    // so reads hit EOF and only the reply drain remains).
-    if (state->drained() &&
-        (peer_closed || state->corrupt() || stopping_.load())) {
-      break;
-    }
-    const bool unsent = !outbox.empty() || state->has_writable();
-    pollfd pfds[2] = {
-        {fd,
-         static_cast<short>(
-             ((!peer_closed && state->want_read()) ? POLLIN : 0) |
-             (unsent ? POLLOUT : 0)),
-         0},
-        {efd->fd, POLLIN, 0}};
-    const int ready = ::poll(pfds, 2, kPollMs);
-    if (ready < 0 && errno != EINTR) break;
-    efd->drain();
-    if (!peer_closed && state->want_read()) {
-      const IoResult r = read_available(fd, *state);
-      if (r.error) break;
-      if (r.peer_closed) peer_closed = true;
-      // Sinks that execute on the caller's thread (a manual-mode server)
-      // drain whatever the read just queued.
-      if (r.bytes > 0) sink_->pump_ready();
-    }
-    const IoResult w = write_available(fd, *state, outbox);
-    if (w.error) break;
-    // Timeouts on the injectable sink clock: a stalled writer is cut at
-    // the write budget, an idle (fully drained) peer at the read budget.
-    const double idle_ms = sink_->now_ms() - state->last_activity_ms();
-    const bool still_unsent = !outbox.empty() || state->has_writable();
-    if (still_unsent ? idle_ms >= write_budget_ms
-                     : idle_ms >= read_budget_ms) {
-      break;
-    }
-  }
-  // Late replies (requests still queued in the server) keep `state` alive
-  // through their callbacks and complete into it harmlessly; the disarm
-  // guarantees they no longer signal the (about to close) eventfd.
-  state->disarm_wake();
-  {
-    std::lock_guard<std::mutex> lock(conn_mu_);
-    conn_fds_.erase(fd);
-  }
-  ::close(fd);
-}
-
-void TcpServerTransport::stop() {
-  if (stopping_.exchange(true)) {
-    if (acceptor_.joinable()) acceptor_.join();
-    return;
-  }
-  if (acceptor_.joinable()) acceptor_.join();
-  if (listen_fd_ >= 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-  }
-  {
-    // Wake blocked readers; SHUT_RD lets in-flight responses finish writing.
-    std::lock_guard<std::mutex> lock(conn_mu_);
-    for (const int fd : conn_fds_) ::shutdown(fd, SHUT_RD);
-  }
-  pool_.wait_idle();
-}
 
 TcpClientTransport::TcpClientTransport(const std::string& host,
                                        std::uint16_t port, double timeout_s)

@@ -1,82 +1,22 @@
 /// \file tcp_transport.h
-/// \brief POSIX TCP transports for the localization query service.
+/// \brief Blocking POSIX TCP client transport for the localization query
+/// service.
 ///
-/// `TcpServerTransport` is the thread-per-connection implementation of the
-/// `ServerTransport` interface: a dedicated thread accepts connections and
-/// each accepted socket occupies one `abp::ThreadPool` worker for its
-/// lifetime, so concurrency is capped at `conn_workers`. Since the
-/// transport redesign it drives the same non-blocking `Connection` state
-/// machine as the epoll path (connection.h): framing, request-ordered
-/// replies, per-connection in-flight shedding and write-watermark
-/// backpressure are byte-identical across transports. Each handler parks
-/// in `poll()` on {socket, eventfd}; worker threads completing replies
-/// signal the eventfd, so response latency is wake-driven rather than
-/// quantized to the poll tick. Idle and write-stall timeouts read the
-/// server's injectable clock.
-///
-/// Graceful stop: the listener closes first (no new connections), open
-/// connections get `SHUT_RD` and finish writing what they accepted, then
-/// the pool drains.
-///
-/// `TcpClientTransport` is the matching blocking client used by `abp query
-/// --connect` and the smoke tests; `send_async`/`flush` pipeline multiple
-/// requests on the wire and match responses positionally.
+/// `TcpClientTransport` is the client used by `abp query --connect`, the
+/// router's backend pool and the smoke tests; `send_async`/`flush`
+/// pipeline multiple requests on the wire and match responses
+/// positionally (the server answers in request order). The server side is
+/// `ServerTransport` (server_transport.h).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <mutex>
-#include <set>
 #include <string>
-#include <thread>
 
-#include "common/thread_pool.h"
-#include "serve/connection.h"
-#include "serve/server_transport.h"
 #include "serve/transport.h"
 
 namespace abp::serve {
-
-class TcpServerTransport final : public ServerTransport {
- public:
-  using Options = TransportOptions;
-
-  explicit TcpServerTransport(FrameSink& sink)
-      : TcpServerTransport(sink, Options()) {}
-  TcpServerTransport(FrameSink& sink, Options options);
-  ~TcpServerTransport() override;
-
-  TcpServerTransport(const TcpServerTransport&) = delete;
-  TcpServerTransport& operator=(const TcpServerTransport&) = delete;
-
-  void start() override;
-  void stop() override;
-
-  std::uint16_t port() const override { return port_; }
-  const char* name() const override { return "threaded"; }
-  std::size_t open_connections() const override;
-  std::uint64_t connections_accepted() const override {
-    return accepted_.load(std::memory_order_relaxed);
-  }
-
- private:
-  void accept_loop();
-  void handle_connection(int fd);
-
-  FrameSink* sink_;
-  Options options_;
-  int listen_fd_ = -1;
-  std::uint16_t port_ = 0;
-  std::atomic<bool> stopping_{false};
-  std::thread acceptor_;
-  ThreadPool pool_;
-  std::atomic<std::uint64_t> accepted_{0};
-  std::atomic<std::uint64_t> next_conn_id_{0};
-  mutable std::mutex conn_mu_;
-  std::set<int> conn_fds_;
-};
 
 class TcpClientTransport final : public ClientTransport {
  public:

@@ -51,6 +51,16 @@ inline serve::ServiceConfig harness_service_config() {
   return config;
 }
 
+/// The `admin` request `abp route-admin <verb> [--backend <backend>]` sends.
+inline serve::Request admin_request(const std::string& verb,
+                                    const std::string& backend = "") {
+  serve::Request request;
+  request.endpoint = serve::Endpoint::kAdmin;
+  request.algorithm = verb;
+  if (!backend.empty()) request.text = backend + "\n";
+  return request;
+}
+
 /// A test's handle on one backend's wire, consulted on every send:
 ///  * `close()` holds sends until `open()`, pinning the backend's traffic
 ///    at a chosen point;
@@ -251,11 +261,8 @@ struct ClusterSim {
   /// `abp route-admin` CLI sends), returning the parsed response.
   serve::Response admin(const std::string& verb,
                         const std::string& backend = "") {
-    serve::Request request;
-    request.endpoint = serve::Endpoint::kAdmin;
-    request.algorithm = verb;
-    if (!backend.empty()) request.text = backend + "\n";
-    const auto response = serve::parse_response(call(request));
+    const auto response =
+        serve::parse_response(call(admin_request(verb, backend)));
     ABP_CHECK(response.has_value(), "unparseable admin response");
     return *response;
   }

@@ -13,7 +13,9 @@
 
 #include "io/field_io.h"
 #include "serve/protocol.h"
+#include "serve/server_transport.h"
 #include "serve/service.h"
+#include "serve/tcp_transport.h"
 #include "cluster_harness.h"
 
 namespace abp::cluster {
@@ -324,6 +326,56 @@ TEST(AdminEndpoint, StatusReportsMembersAndHandoffCounters) {
   EXPECT_NE(response.text.find("member b2 active"), std::string::npos);
   EXPECT_NE(response.text.find("handoff-snapshots 0"), std::string::npos);
   EXPECT_NE(response.text.find("handoff-replays 0"), std::string::npos);
+}
+
+TEST(AdminEndpoint, StatusAnswersWhileAnAddIsHeldOverEpoll) {
+  // An add blocks until the joiner acks its handoff. Behind one epoll
+  // shard, as `abp route` runs by default, that wait must not stall the
+  // shard's other connections: status and reads answer meanwhile.
+  ClusterSim cluster({"b1", "b2"}, /*replication=*/3);
+  cluster.replicator->set_deployment("default", field_text());
+  ASSERT_EQ(cluster.replicator->sync_all(), 2u);
+  serve::TransportOptions options;
+  options.event_shards = 1;
+  const auto transport = serve::make_server_transport(
+      serve::TransportKind::kEpoll, *cluster.router, options);
+  transport->start();
+
+  // Hold the joiner's snapshot install on the wire, and open it again on
+  // every exit path, so a failure below ends the test instead of leaving
+  // the add, and the teardown behind it, waiting for good.
+  BackendSim& joiner = cluster.add_sim("b3");
+  joiner.wire.close();
+  struct OpenOnExit {
+    WireControl& wire;
+    ~OpenOnExit() { wire.open(); }
+  } open_on_exit{joiner.wire};
+
+  serve::TcpClientTransport admin("127.0.0.1", transport->port(), 30.0);
+  std::string added;
+  admin.send_async(admin_request("add", "b3"),
+                   [&added](std::string frame) { added = std::move(frame); });
+  ASSERT_TRUE(wait_until([&] { return joiner.wire.held() > 0; }));
+
+  serve::TcpClientTransport client("127.0.0.1", transport->port(), 2.0);
+  const serve::Response status = client.roundtrip(admin_request("status"));
+  EXPECT_EQ(status.status, serve::Status::kOk);
+  EXPECT_NE(status.text.find("member b3 joining"), std::string::npos)
+      << status.text;
+  EXPECT_EQ(client.roundtrip(localize_request(1)).status,
+            serve::Status::kOk);
+
+  joiner.wire.open();
+  admin.flush();
+  serve::FrameDecoder decoder;
+  decoder.feed(added);
+  const std::optional<std::string> payload = decoder.next();
+  ASSERT_TRUE(payload.has_value());
+  const auto ack = serve::parse_response(*payload);
+  ASSERT_TRUE(ack.has_value());
+  EXPECT_EQ(ack->status, serve::Status::kOk) << ack->message;
+  EXPECT_EQ(cluster.membership.epoch(), 2u);
+  transport->stop();
 }
 
 TEST(AdminEndpoint, UnknownVerbIsBadRequest) {

@@ -6,7 +6,6 @@
 #include <string>
 #include <vector>
 
-#include "cluster/deployment_filter.h"
 #include "io/field_io.h"
 #include "cluster_harness.h"
 
@@ -74,8 +73,8 @@ TEST(Router, UnknownDeploymentIsNotFound) {
   ASSERT_TRUE(response.has_value());
   EXPECT_EQ(response->status, serve::Status::kNotFound);
   EXPECT_EQ(cluster.metrics.forwarded_total(), 0u);
-  // The membership filter proved the name absent — answered locally,
-  // without even the registry lookup.
+  // The registry does not hold the name: answered locally and counted as
+  // an unknown-deployment reject.
   EXPECT_EQ(cluster.metrics.filter_rejects(), 1u);
 }
 
@@ -549,51 +548,6 @@ TEST(Router, CacheDisabledForwardsEveryRead) {
       wait_until([&] { return cluster.metrics.forwarded_total() == 2u; }));
 }
 
-TEST(Router, FilterFalsePositiveFallsThroughToTheRegistry) {
-  ClusterSim cluster({"b1"});
-  std::vector<std::string> names;
-  for (int i = 0; i < 40; ++i) {
-    names.push_back("field-" + std::to_string(i));
-    cluster.replicator->set_deployment(names.back(), field_text());
-  }
-
-  // Rebuild the same filter the replicator published and brute-force a
-  // name it cannot rule out (deterministic hashing — see
-  // deployment_filter_test). That name is *not* deployed, so the router
-  // must fall through to the registry and answer the identical not-found.
-  DeploymentFilter filter;
-  filter.rebuild(names);
-  std::string fp, definite;
-  for (int i = 0; i < 200000 && (fp.empty() || definite.empty()); ++i) {
-    const std::string candidate = "ghost-" + std::to_string(i);
-    if (filter.may_contain(candidate)) {
-      if (fp.empty()) fp = candidate;
-    } else if (definite.empty()) {
-      definite = candidate;
-    }
-  }
-  ASSERT_FALSE(fp.empty());
-  ASSERT_FALSE(definite.empty());
-  ASSERT_TRUE(cluster.replicator->possibly_deployed(fp));
-  ASSERT_FALSE(cluster.replicator->possibly_deployed(definite));
-
-  const auto through =
-      serve::parse_response(cluster.call(localize_request(1, fp)));
-  ASSERT_TRUE(through.has_value());
-  EXPECT_EQ(through->status, serve::Status::kNotFound);
-  EXPECT_EQ(through->message, "unknown deployment '" + fp + "'");
-  EXPECT_EQ(cluster.metrics.filter_rejects(), 0u)
-      << "a false positive is not a filter reject — the registry answered";
-
-  const auto rejected =
-      serve::parse_response(cluster.call(localize_request(2, definite)));
-  ASSERT_TRUE(rejected.has_value());
-  EXPECT_EQ(rejected->status, serve::Status::kNotFound);
-  EXPECT_EQ(rejected->message, "unknown deployment '" + definite + "'");
-  EXPECT_EQ(cluster.metrics.filter_rejects(), 1u);
-  EXPECT_EQ(cluster.metrics.forwarded_total(), 0u);
-}
-
 TEST(Router, QuotaShedsNoisyPrincipalAndKeepsStatsReachable) {
   RouterOptions options;
   options.quota.rps = 2.0;  // one token every 500 ms
@@ -656,7 +610,7 @@ TEST(Router, SnapshotExposesCacheFilterAndPrincipalCounters) {
   request.principal = 9;
   (void)cluster.call(request);
   (void)cluster.call(request);                      // cache hit
-  (void)cluster.call(localize_request(3, "ghost")); // filter reject
+  (void)cluster.call(localize_request(3, "ghost")); // unknown deployment
 
   const MetricsSnapshot snap = cluster.metrics.snapshot();
   EXPECT_EQ(snap.schema(), "abp-route-stats 1");

@@ -635,10 +635,7 @@ TEST(Chaos, ClientMintsOneIdPerLogicalWrite) {
   EXPECT_EQ(ids[3], 0u);
 }
 
-// ---- faults over a real socket pair, both server transports ------------
-
-const TransportKind kBothKinds[] = {TransportKind::kThreaded,
-                                    TransportKind::kEpoll};
+// ---- faults over a real socket pair -------------------------------------
 
 std::size_t open_fd_count() {
   return static_cast<std::size_t>(std::distance(
@@ -658,156 +655,150 @@ bool wait_for_no_connections(const ServerTransport& transport) {
 }
 
 TEST(ChaosTcp, PipelinedBurstBeyondInflightCapIsShedInOrder) {
-  for (const TransportKind kind : kBothKinds) {
-    SCOPED_TRACE(transport_kind_name(kind));
-    LocalizationService service(test_config());
-    service.add_field("default", make_field());
-    Server server(service);
-    TransportOptions options;
-    options.max_inflight = 2;
-    const auto transport = make_server_transport(kind, server, options);
-    transport->start();
+  LocalizationService service(test_config());
+  service.add_field("default", make_field());
+  Server server(service);
+  TransportOptions options;
+  options.max_inflight = 2;
+  const auto transport =
+      make_server_transport(TransportKind::kEpoll, server, options);
+  transport->start();
 
-    TcpClientTransport client("127.0.0.1", transport->port(), 5.0);
-    // One write carrying 5 frames: at most 2 may be in flight, the rest of
-    // the burst is shed `overloaded` before touching the queue.
-    std::string burst;
-    for (std::uint64_t seq = 1; seq <= 5; ++seq) {
-      burst += encode_frame(format_request(localize_request(seq)));
-    }
-    client.send_raw(burst);
-    std::size_t ok = 0;
-    std::size_t overloaded = 0;
-    for (int i = 0; i < 5; ++i) {
-      const std::optional<Response> response =
-          parse_response(client.read_payload());
-      ASSERT_TRUE(response.has_value());
-      if (response->status == Status::kOk) ++ok;
-      if (response->status == Status::kOverloaded) ++overloaded;
-    }
-    // Every frame is answered with ok or overloaded — never dropped. (The
-    // exact split depends on how the kernel chunks the burst; a single
-    // segment yields 2 ok + 3 overloaded.)
-    EXPECT_EQ(ok + overloaded, 5u);
-    EXPECT_GE(ok, 2u);
-    // The connection survives shedding: a follow-up request succeeds.
-    const Response after = client.roundtrip(localize_request(9));
-    EXPECT_EQ(after.status, Status::kOk);
-    transport->stop();
-    server.shutdown();
-    EXPECT_EQ(service.metrics().submitted(),
-              service.metrics().completed() + service.metrics().shed_total());
+  TcpClientTransport client("127.0.0.1", transport->port(), 5.0);
+  // One write carrying 5 frames: at most 2 may be in flight, the rest of
+  // the burst is shed `overloaded` before touching the queue.
+  std::string burst;
+  for (std::uint64_t seq = 1; seq <= 5; ++seq) {
+    burst += encode_frame(format_request(localize_request(seq)));
   }
+  client.send_raw(burst);
+  std::size_t ok = 0;
+  std::size_t overloaded = 0;
+  for (int i = 0; i < 5; ++i) {
+    const std::optional<Response> response =
+        parse_response(client.read_payload());
+    ASSERT_TRUE(response.has_value());
+    if (response->status == Status::kOk) ++ok;
+    if (response->status == Status::kOverloaded) ++overloaded;
+  }
+  // Every frame is answered with ok or overloaded — never dropped. (The
+  // exact split depends on how the kernel chunks the burst; a single
+  // segment yields 2 ok + 3 overloaded.)
+  EXPECT_EQ(ok + overloaded, 5u);
+  EXPECT_GE(ok, 2u);
+  // The connection survives shedding: a follow-up request succeeds.
+  const Response after = client.roundtrip(localize_request(9));
+  EXPECT_EQ(after.status, Status::kOk);
+  transport->stop();
+  server.shutdown();
+  EXPECT_EQ(service.metrics().submitted(),
+            service.metrics().completed() + service.metrics().shed_total());
 }
 
 TEST(ChaosTcp, SlowLorisPartialFrameTimesOutWithoutWedgingTheServer) {
-  for (const TransportKind kind : kBothKinds) {
-    SCOPED_TRACE(transport_kind_name(kind));
-    LocalizationService service(test_config());
-    service.add_field("default", make_field());
-    Server server(service);
-    TransportOptions options;
-    options.read_timeout_s = 0.15;
-    const auto transport = make_server_transport(kind, server, options);
-    transport->start();
+  LocalizationService service(test_config());
+  service.add_field("default", make_field());
+  Server server(service);
+  TransportOptions options;
+  options.read_timeout_s = 0.15;
+  const auto transport =
+      make_server_transport(TransportKind::kEpoll, server, options);
+  transport->start();
 
-    // The slow loris delivers half a frame and then goes quiet.
-    TcpClientTransport loris("127.0.0.1", transport->port(), 5.0);
-    const std::string frame =
-        encode_frame(format_request(localize_request(1)));
-    loris.send_raw(frame.substr(0, frame.size() / 2));
+  // The slow loris delivers half a frame and then goes quiet.
+  TcpClientTransport loris("127.0.0.1", transport->port(), 5.0);
+  const std::string frame =
+      encode_frame(format_request(localize_request(1)));
+  loris.send_raw(frame.substr(0, frame.size() / 2));
 
-    // A well-behaved client is served while the loris is still connected...
-    TcpClientTransport good("127.0.0.1", transport->port(), 5.0);
-    EXPECT_EQ(good.roundtrip(localize_request(2)).status, Status::kOk);
+  // A well-behaved client is served while the loris is still connected...
+  TcpClientTransport good("127.0.0.1", transport->port(), 5.0);
+  EXPECT_EQ(good.roundtrip(localize_request(2)).status, Status::kOk);
 
-    // ...and the loris is dropped once its read timeout expires, freeing
-    // the connection slot without wedging anything.
-    bool dropped = false;
-    for (int i = 0; i < 40 && !dropped; ++i) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(25));
-      dropped = loris.closed_by_peer();
-    }
-    EXPECT_TRUE(dropped);
-    // A fresh connection (the idle timeout has dropped `good` too by now)
-    // is served normally: no slot or thread was wedged by the loris.
-    TcpClientTransport fresh("127.0.0.1", transport->port(), 5.0);
-    EXPECT_EQ(fresh.roundtrip(localize_request(3)).status, Status::kOk);
-    transport->stop();
-    server.shutdown();
+  // ...and the loris is dropped once its read timeout expires, freeing
+  // the connection slot without wedging anything.
+  bool dropped = false;
+  for (int i = 0; i < 40 && !dropped; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(25));
+    dropped = loris.closed_by_peer();
   }
+  EXPECT_TRUE(dropped);
+  // A fresh connection (the idle timeout has dropped `good` too by now)
+  // is served normally: no slot or thread was wedged by the loris.
+  TcpClientTransport fresh("127.0.0.1", transport->port(), 5.0);
+  EXPECT_EQ(fresh.roundtrip(localize_request(3)).status, Status::kOk);
+  transport->stop();
+  server.shutdown();
 }
 
 TEST(ChaosTcp, FaultyClientFleetLeavesNoFdOrSlotLeak) {
-  // Every socket-level misbehavior in one fleet, against both transports:
+  // Every socket-level misbehavior in one fleet:
   // corrupt framing, a half-frame followed by an abrupt close, a pipelined
   // burst past the in-flight cap, an idle connection that must time out,
   // and a well-behaved pipeliner. Afterwards the transport must report
   // zero open connections, the process must hold no extra fds, and the
   // admission identity must reconcile exactly.
-  for (const TransportKind kind : kBothKinds) {
-    SCOPED_TRACE(transport_kind_name(kind));
-    LocalizationService service(test_config());
-    service.add_field("default", make_field());
-    Server::Options server_options;
-    server_options.workers = 2;
-    server_options.max_batch = 8;
-    Server server(service, server_options);
-    TransportOptions options;
-    options.max_inflight = 2;
-    options.read_timeout_s = 0.2;
-    options.event_shards = 2;
-    const auto transport = make_server_transport(kind, server, options);
-    transport->start();
-    const std::size_t baseline_fds = open_fd_count();
+  LocalizationService service(test_config());
+  service.add_field("default", make_field());
+  Server::Options server_options;
+  server_options.workers = 2;
+  server_options.max_batch = 8;
+  Server server(service, server_options);
+  TransportOptions options;
+  options.max_inflight = 2;
+  options.read_timeout_s = 0.2;
+  options.event_shards = 2;
+  const auto transport =
+      make_server_transport(TransportKind::kEpoll, server, options);
+  transport->start();
+  const std::size_t baseline_fds = open_fd_count();
 
-    {
-      // (a) corrupt framing: answered bad-request, then server-closed.
-      TcpClientTransport garbage("127.0.0.1", transport->port(), 5.0);
-      garbage.send_raw("%%% definitely not a frame %%%\n");
-      const auto diagnostic = parse_response(garbage.read_payload());
-      ASSERT_TRUE(diagnostic.has_value());
-      EXPECT_EQ(diagnostic->status, Status::kBadRequest);
+  {
+    // (a) corrupt framing: answered bad-request, then server-closed.
+    TcpClientTransport garbage("127.0.0.1", transport->port(), 5.0);
+    garbage.send_raw("%%% definitely not a frame %%%\n");
+    const auto diagnostic = parse_response(garbage.read_payload());
+    ASSERT_TRUE(diagnostic.has_value());
+    EXPECT_EQ(diagnostic->status, Status::kBadRequest);
 
-      // (b) half a frame, then the client vanishes mid-request.
-      TcpClientTransport quitter("127.0.0.1", transport->port(), 5.0);
-      const std::string frame =
-          encode_frame(format_request(localize_request(1)));
-      quitter.send_raw(frame.substr(0, frame.size() / 2));
+    // (b) half a frame, then the client vanishes mid-request.
+    TcpClientTransport quitter("127.0.0.1", transport->port(), 5.0);
+    const std::string frame =
+        encode_frame(format_request(localize_request(1)));
+    quitter.send_raw(frame.substr(0, frame.size() / 2));
 
-      // (c) burst past the in-flight cap; read every answer, then leave.
-      TcpClientTransport burster("127.0.0.1", transport->port(), 5.0);
-      std::string burst;
-      for (std::uint64_t seq = 1; seq <= 5; ++seq) {
-        burst += encode_frame(format_request(localize_request(seq)));
-      }
-      burster.send_raw(burst);
-      for (int i = 0; i < 5; ++i) {
-        ASSERT_TRUE(parse_response(burster.read_payload()).has_value());
-      }
+    // (c) burst past the in-flight cap; read every answer, then leave.
+    TcpClientTransport burster("127.0.0.1", transport->port(), 5.0);
+    std::string burst;
+    for (std::uint64_t seq = 1; seq <= 5; ++seq) {
+      burst += encode_frame(format_request(localize_request(seq)));
+    }
+    burster.send_raw(burst);
+    for (int i = 0; i < 5; ++i) {
+      ASSERT_TRUE(parse_response(burster.read_payload()).has_value());
+    }
 
-      // (d) connects and never says anything: the read timeout reaps it.
-      TcpClientTransport idler("127.0.0.1", transport->port(), 5.0);
+    // (d) connects and never says anything: the read timeout reaps it.
+    TcpClientTransport idler("127.0.0.1", transport->port(), 5.0);
 
-      // (e) a well-behaved pipelined client sees clean service throughout.
-      TcpClientTransport good("127.0.0.1", transport->port(), 5.0);
-      for (std::uint64_t seq = 1; seq <= 4; ++seq) {
-        good.send_async(localize_request(seq), [](std::string) {});
-      }
-      good.flush();
-      EXPECT_EQ(good.roundtrip(localize_request(9)).status, Status::kOk);
-    }  // all five client sockets close here
+    // (e) a well-behaved pipelined client sees clean service throughout.
+    TcpClientTransport good("127.0.0.1", transport->port(), 5.0);
+    for (std::uint64_t seq = 1; seq <= 4; ++seq) {
+      good.send_async(localize_request(seq), [](std::string) {});
+    }
+    good.flush();
+    EXPECT_EQ(good.roundtrip(localize_request(9)).status, Status::kOk);
+  }  // all five client sockets close here
 
-    EXPECT_TRUE(wait_for_no_connections(*transport))
-        << "open=" << transport->open_connections();
-    EXPECT_EQ(open_fd_count(), baseline_fds);
-    EXPECT_EQ(transport->connections_accepted(), 5u);
-    transport->stop();
-    EXPECT_EQ(transport->open_connections(), 0u);
-    server.shutdown();
-    EXPECT_EQ(service.metrics().submitted(),
-              service.metrics().completed() + service.metrics().shed_total());
-  }
+  EXPECT_TRUE(wait_for_no_connections(*transport))
+      << "open=" << transport->open_connections();
+  EXPECT_EQ(open_fd_count(), baseline_fds);
+  EXPECT_EQ(transport->connections_accepted(), 5u);
+  transport->stop();
+  EXPECT_EQ(transport->open_connections(), 0u);
+  server.shutdown();
+  EXPECT_EQ(service.metrics().submitted(),
+            service.metrics().completed() + service.metrics().shed_total());
 }
 
 }  // namespace

@@ -6,10 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/assert.h"
+#include "serve/tcp_transport.h"
 
 namespace abp::serve {
 namespace {
@@ -39,10 +41,20 @@ TEST(ServeConfig, DefaultsMatchTheLegacyFlagSurface) {
   EXPECT_EQ(config.max_queue, 0u);
   EXPECT_EQ(config.max_inflight, 0u);
   EXPECT_EQ(config.retry_after_hint_ms, 0u);
-  EXPECT_EQ(config.transport, TransportKind::kThreaded);
+  EXPECT_EQ(config.transport, TransportKind::kEpoll);
   EXPECT_EQ(config.port, 0);
   EXPECT_EQ(config.event_shards, 1u);
   EXPECT_FALSE(config.oneshot);
+  // The thread-per-connection transport is gone: naming it fails at parse
+  // time with a diagnostic that names the one transport left.
+  try {
+    serve_from({"--field", "field.txt", "--transport", "threaded"});
+    ADD_FAILURE() << "--transport threaded must be rejected";
+  } catch (const CheckFailure& e) {
+    EXPECT_NE(std::string(e.what()).find("epoll is the only transport"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(ServeConfig, ParsesTheTransportRedesignFlags) {
@@ -71,8 +83,6 @@ TEST(ServeConfig, ProjectsOntoEngineAndTransportOptions) {
   const TransportOptions transport = config.transport_options();
   EXPECT_EQ(transport.port, 9000);
   EXPECT_EQ(transport.event_shards, 2u);
-  // The threaded pool never drops below two slots even for tiny --workers.
-  EXPECT_GE(transport.conn_workers, 2u);
 }
 
 TEST(ServeConfig, RejectsInvalidCombinations) {
@@ -80,9 +90,6 @@ TEST(ServeConfig, RejectsInvalidCombinations) {
   EXPECT_THROW(serve_from({}), CheckFailure);
   // Unknown transport name.
   EXPECT_THROW(serve_from({"--field", "f", "--transport", "iocp"}),
-               CheckFailure);
-  // Sharding only makes sense for the event loop.
-  EXPECT_THROW(serve_from({"--field", "f", "--event-shards", "2"}),
                CheckFailure);
   // One-shot needs an input and cannot also listen.
   EXPECT_THROW(serve_from({"--field", "f", "--oneshot", "true"}),
@@ -106,6 +113,43 @@ TEST(ServeConfig, EpollWithMultipleShardsValidates) {
       {"--field", "f", "--transport", "epoll", "--event-shards", "8"});
   config.validate();  // directly constructed configs re-check the same way
   EXPECT_EQ(config.event_shards, 8u);
+  // Sharding needs no --transport: epoll is the default.
+  EXPECT_EQ(serve_from({"--field", "f", "--event-shards", "2"}).event_shards,
+            2u);
+}
+
+TEST(ServeConfig, DefaultTransportServesEveryConnection) {
+  // `abp serve --field f` as parsed: a manual-mode server behind the
+  // default transport. Every client is served while all of them stay
+  // connected, not just as many as some connection pool has slots for.
+  const ServeConfig config = serve_from({"--field", "f"});
+  LocalizationService service(config.service_config());
+  BeaconField field(AABB({0, 0}, {60, 60}));
+  field.add({10, 10});
+  field.add({30, 10});
+  service.add_field(config.name, std::move(field));
+  Server server(service, config.server_options());
+  const auto transport = make_server_transport(config.transport, server,
+                                               config.transport_options());
+  transport->start();
+
+  std::vector<std::unique_ptr<TcpClientTransport>> clients;
+  for (int i = 0; i < 8; ++i) {
+    clients.push_back(std::make_unique<TcpClientTransport>(
+        "127.0.0.1", transport->port(), 2.0));
+  }
+  Request request;
+  request.endpoint = Endpoint::kLocalize;
+  request.points = {{12, 12}};
+  // Last-opened first: a transport that served only its earliest
+  // connections would leave this one waiting past the timeout.
+  for (std::size_t i = clients.size(); i-- > 0;) {
+    request.seq = i + 1;
+    EXPECT_EQ(clients[i]->roundtrip(request).status, Status::kOk)
+        << "connection " << i + 1;
+  }
+  transport->stop();
+  server.shutdown();
 }
 
 TEST(ServeConfig, QuotaFlagsProjectOntoServerOptions) {

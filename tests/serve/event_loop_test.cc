@@ -1,7 +1,7 @@
 /// Event-loop serving stack, bottom-up: the `EventLoop` primitive
 /// (posting, fd dispatch, stop-drain), the transport-agnostic `Connection`
 /// state machine (ordered release, in-flight shedding, corrupt framing,
-/// write watermarks, wake discipline), and the `EpollServerTransport` over
+/// write watermarks, wake discipline), and the epoll `ServerTransport` over
 /// real sockets (round trips, shard fan-out, idle timeouts, the
 /// open-connection gauge the leak probes rely on).
 #include "serve/event_loop.h"
@@ -316,14 +316,15 @@ TEST(Connection, TeardownWithReplyParkedBehindUnreleasedTicketIsOrphaned) {
                 rig.service.metrics().shed_total());
 }
 
-// ---- EpollServerTransport over real sockets ----------------------------
+// ---- the epoll ServerTransport over real sockets ------------------------
 
 TEST(TransportKindTest, NamesRoundTrip) {
-  EXPECT_EQ(transport_kind_from_name("threaded"), TransportKind::kThreaded);
   EXPECT_EQ(transport_kind_from_name("epoll"), TransportKind::kEpoll);
-  EXPECT_FALSE(transport_kind_from_name("iocp").has_value());
-  EXPECT_STREQ(transport_kind_name(TransportKind::kThreaded), "threaded");
   EXPECT_STREQ(transport_kind_name(TransportKind::kEpoll), "epoll");
+  // epoll is the only transport: the removed thread-per-connection name
+  // no longer parses.
+  EXPECT_FALSE(transport_kind_from_name("threaded").has_value());
+  EXPECT_FALSE(transport_kind_from_name("iocp").has_value());
 }
 
 struct EpollFixture {
@@ -359,7 +360,6 @@ struct EpollFixture {
 TEST(EpollTransport, EphemeralPortRoundTrip) {
   EpollFixture fixture;
   ASSERT_NE(fixture.transport->port(), 0);
-  EXPECT_STREQ(fixture.transport->name(), "epoll");
 
   TcpClientTransport client("127.0.0.1", fixture.transport->port());
   const Response response = client.roundtrip(localize_request(7));

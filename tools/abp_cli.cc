@@ -21,7 +21,7 @@
 ///                [--dedup 0|1] [--cache 0|1] [--cache-entries C]
 ///                [--quota-rps R [--quota-burst B]]
 ///                [--heartbeat-ms H] [--port P]
-///                [--transport threaded|epoll]
+///                [--transport epoll]
 ///   abp route-admin add|drain|status --connect H:P [--backend H:P]
 ///   abp query    --type localize|error-at|propose|add-beacon|snapshot|
 ///                stats|list-fields [--points "x,y;x,y"] [--algorithm A]
@@ -93,7 +93,7 @@ int usage() {
          "           [--max-queue Q] [--max-inflight I] "
          "[--retry-after-ms H] [--dedup-window D]\n"
          "           [--quota-rps R [--quota-burst B]]\n"
-         "           [--transport threaded|epoll] [--event-shards E]\n"
+         "           [--transport epoll] [--event-shards E]\n"
          "           [--read-timeout-s R] [--write-timeout-s W]\n"
          "           [--port P | --oneshot --in REQ [--out RESP]]\n"
          "  route    --field FILE --backend HOST:PORT [--backend ...] "
@@ -103,7 +103,7 @@ int usage() {
          "           [--cache 0|1] [--cache-entries C] "
          "[--quota-rps R [--quota-burst B]]\n"
          "           [--heartbeat-ms H] [--failure-threshold F]\n"
-         "           [--transport threaded|epoll] [--event-shards E] "
+         "           [--transport epoll] [--event-shards E] "
          "[--port P]\n"
          "           [--max-inflight I] [--retry-after-ms H] "
          "[--connect-timeout-s C]\n"
@@ -432,7 +432,8 @@ int cmd_serve(const Flags& flags) {
                                    config.transport_options());
   transport->start();
   std::cout << "serving field '" << config.name << "' on 127.0.0.1:"
-            << transport->port() << " (transport " << transport->name()
+            << transport->port() << " (transport "
+            << serve::transport_kind_name(config.transport)
             << ", workers " << config.workers << ", batch " << config.batch
             << ", max-queue " << config.max_queue << ", max-inflight "
             << config.max_inflight << "); Ctrl-C to stop\n"
@@ -484,7 +485,8 @@ int cmd_route(const Flags& flags) {
                                    config.transport_options());
   transport->start();
   std::cout << "routing deployment '" << config.name << "' on 127.0.0.1:"
-            << transport->port() << " (transport " << transport->name()
+            << transport->port() << " (transport "
+            << serve::transport_kind_name(config.transport)
             << ", backends " << config.backends.size() << ", replication "
             << config.replication << "); Ctrl-C to stop\n"
             << std::flush;  // scripts parse the port from a redirected log
