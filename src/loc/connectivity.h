@@ -7,10 +7,12 @@
 /// substrate (`src/des/`) validates the reduction packet-by-packet.
 ///
 /// These free functions are the cold-path convenience API: each call
-/// snapshots the field into a one-shot `SurveyKernel`. Hot loops (error
-/// maps, serving, placement search) hold a kernel and batch instead —
-/// results are bit-identical either way (same ascending-id accumulation,
-/// same predicate arithmetic).
+/// snapshots the field into a one-shot `SurveyKernel` and evaluates one
+/// point. Hot loops hold one kernel instead: error maps and coverage sweep
+/// the lattice with `evaluate_lattice`, serving evaluates each request's
+/// points as one `SurveyBatch`, and placement search reuses the kernel
+/// across candidates. Results are bit-identical either way (same
+/// ascending-id accumulation, same predicate arithmetic).
 #pragma once
 
 #include <vector>

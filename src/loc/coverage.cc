@@ -39,15 +39,14 @@ CoverageStats analyze_coverage(const BeaconField& field,
   CoverageStats stats;
   stats.covered_fraction.assign(k_max, 0.0);
 
-  // k-coverage over the lattice: one batched kernel pass for the counts.
+  // k-coverage over the lattice: one lattice sweep for the counts.
   const SurveyKernel kernel(field, model);
-  SurveyBatch batch;
-  batch.reserve(lattice.size());
-  lattice.for_each([&](std::size_t, Vec2 p) { batch.push(p); });
-  kernel.evaluate(batch);
+  std::vector<double> sum_x(lattice.size()), sum_y(lattice.size());
+  std::vector<std::uint32_t> counts(lattice.size());
+  kernel.evaluate_lattice(lattice, {0, lattice.nx()}, {0, lattice.ny()},
+                          sum_x, sum_y, counts);
   std::vector<std::size_t> hits(k_max, 0);
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    const std::size_t n = batch.counts[i];
+  for (const std::size_t n : counts) {
     for (std::size_t k = 1; k <= k_max; ++k) {
       if (n >= k) ++hits[k - 1];
     }

@@ -45,9 +45,10 @@ class CentroidLocalizer {
     return distance(localize(point).estimate, point);
   }
 
-  /// The memoized batch kernel for the field's current revision. Callers
-  /// with many points per field state should evaluate `SurveyBatch`es
-  /// against this instead of looping `localize`.
+  /// The memoized kernel for the field's current revision. Callers with
+  /// many points per field state should evaluate them against this instead
+  /// of looping `localize`: a `SurveyBatch` for arbitrary points, or
+  /// `evaluate_lattice` for a lattice.
   const SurveyKernel& kernel() const;
 
   const BeaconField& field() const { return *field_; }

@@ -1,47 +1,122 @@
 #include "loc/survey_kernel.h"
 
 #include <algorithm>
-#include <cstdlib>
-#include <cstring>
 #include <limits>
 
 #include "common/assert.h"
-#include "loc/survey_kernel_detail.h"
 #include "radio/noise_model.h"
 #include "rng/hash.h"
 
 namespace abp {
 
-using survey_detail::FastView;
-using survey_detail::kChunk;
-using survey_detail::kLanes;
-using survey_detail::kPadSentinel;
-using survey_detail::kReachSlack;
-
 namespace {
 
-/// The generic arm: same chunked shape as the AVX2 arm, plain C++ (the
-/// compiler vectorizes the distance test where profitable; correctness
-/// never depends on it).
-void eval_chunk_generic(const FastView& m, const std::uint32_t* cand,
-                        std::size_t ncand, const double* px, const double* py,
-                        const std::uint64_t* pxw, const std::uint64_t* pyw,
-                        std::size_t npad, double* sx, double* sy,
-                        std::uint64_t* cnt) {
+/// Points per chunk of `evaluate`: one beacon prefilter per chunk.
+constexpr std::size_t kChunk = 32;
+/// Slack added to the prefilter reach so floating-point rounding of the
+/// chunk bounding box can never exclude a beacon that the exact predicate
+/// would accept (rounding error is ~1e-13 m at terrain scale; the slack is
+/// seven orders of magnitude larger and still negligible for culling).
+constexpr double kReachSlack = 1.0e-6;
+
+/// View of the fast-path model constants and beacon SoA.
+struct FastView {
+  const double* bx = nullptr;           ///< beacon x, ascending id
+  const double* by = nullptr;           ///< beacon y, ascending id
+  const double* nf = nullptr;           ///< per-beacon noise factor
+  const std::uint64_t* prefix = nullptr;///< per-beacon u-draw hash prefix
+  double range = 0.0;                   ///< nominal R
+  double in2 = 0.0;                     ///< squared certain-in radius
+  double out2 = 0.0;                    ///< squared certain-out radius
+  bool band = false;                    ///< noise > 0
+  const double* beacon_in2 = nullptr;   ///< per-beacon (R(1-nf))^2
+  const double* beacon_out2 = nullptr;  ///< per-beacon (R(1+nf))^2
+};
+
+/// Resume the u-draw hash from a beacon's memoized 4-word prefix with the
+/// two quantized point words (rounds 5 and 6 of the 6-word hash) — equal to
+/// PerBeaconNoiseModel::u_draw bit-for-bit by the sponge identity in
+/// rng/hash.h.
+[[gnu::always_inline]] inline double resume_u_draw(
+    std::uint64_t prefix, std::uint64_t pxq, std::uint64_t pyq) {
+  std::uint64_t s = stable_hash64_absorb(prefix, pxq, 5);
+  s = stable_hash64_absorb(s, pyq, 6);
+  return hash_to_symmetric(stable_hash64_finalize(s, 6));
+}
+
+/// Uncertainty-band connectivity test for beacon index `b`: identical op
+/// sequence to PerBeaconNoiseModel::effective_range + the d2 <= r*r check.
+[[gnu::always_inline]] inline bool band_connected(
+    const FastView& m, std::size_t b, double d2, std::uint64_t pxq,
+    std::uint64_t pyq) {
+  const double u = resume_u_draw(m.prefix[b], pxq, pyq);
+  const double r = m.range * (1.0 + u * m.nf[b]);
+  return d2 <= r * r;
+}
+
+/// The point half of one absorb round. `stable_hash64_absorb(s, w, r)` is
+/// `mix(s ^ mix(w + r·K))`, and the inner mix depends on the point word
+/// and round alone, so the batch and lattice paths premix each point's two
+/// quantized words (rounds 5 and 6) once instead of once per (point,
+/// beacon) pair.
+[[gnu::always_inline]] inline std::uint64_t premix_point_word(
+    std::uint64_t word, std::uint64_t round) {
+  return splitmix64_mix(word + round * kStableHashRound);
+}
+
+/// The first of the three mixes left once the point words are premixed:
+/// the beacon prefix with the x word (round 5). It depends on the beacon
+/// and the column alone, so the lattice path takes it once per pair.
+[[gnu::always_inline]] inline std::uint64_t premix_column(
+    std::uint64_t prefix, std::uint64_t pxw) {
+  return splitmix64_mix(prefix ^ pxw);
+}
+
+/// `band_connected` from a beacon's `premix_column` word `s1` and the
+/// premixed y word (round 6): the last two mixes, the draw and the range
+/// test, in PerBeaconNoiseModel's op sequence.
+[[gnu::always_inline]] inline bool band_connected_column(
+    const FastView& m, std::size_t b, double d2, std::uint64_t s1,
+    std::uint64_t pyw) {
+  const std::uint64_t s = splitmix64_mix(s1 ^ pyw);
+  const double u = hash_to_symmetric(stable_hash64_finalize(s, 6));
+  const double r = m.range * (1.0 + u * m.nf[b]);
+  return d2 <= r * r;
+}
+
+/// `band_connected` from premixed point words (the batch path's form):
+/// three mixes instead of five, the same bits by the identity above.
+[[gnu::always_inline]] inline bool band_connected_premixed(
+    const FastView& m, std::size_t b, double d2, std::uint64_t pxw,
+    std::uint64_t pyw) {
+  return band_connected_column(m, b, d2, premix_column(m.prefix[b], pxw),
+                               pyw);
+}
+
+/// One chunk of `evaluate`: accumulate every candidate beacon (indices
+/// into the SoA, ascending) into the chunk's `n` points. Connectivity is
+/// certain inside a beacon's own `beacon_in2` and impossible past its
+/// `beacon_out2`; only pairs in between hash, from the premixed point words
+/// `pxw`/`pyw`. sx/sy/cnt are the chunk-local accumulators, zeroed by the
+/// caller. Plain C++: the compiler vectorizes the distance test where
+/// profitable, and correctness never depends on it.
+void eval_chunk(const FastView& m, const std::uint32_t* cand,
+                std::size_t ncand, const double* px, const double* py,
+                const std::uint64_t* pxw, const std::uint64_t* pyw,
+                std::size_t n, double* sx, double* sy, std::uint64_t* cnt) {
   for (std::size_t k = 0; k < ncand; ++k) {
     const std::uint32_t b = cand[k];
     const double bx = m.bx[b];
     const double by = m.by[b];
     const double in2 = m.beacon_in2[b];
     const double out2 = m.beacon_out2[b];
-    for (std::size_t i = 0; i < npad; ++i) {
+    for (std::size_t i = 0; i < n; ++i) {
       const double dx = bx - px[i];
       const double dy = by - py[i];
       const double d2 = dx * dx + dy * dy;
       bool conn = d2 <= in2;
       if (!conn && m.band && d2 <= out2) {
-        conn = survey_detail::band_connected_premixed(m, b, d2, pxw[i],
-                                                      pyw[i]);
+        conn = band_connected_premixed(m, b, d2, pxw[i], pyw[i]);
       }
       if (conn) {
         sx[i] += bx;
@@ -80,7 +155,7 @@ IndexRange clip(IndexRange r, IndexRange sub) {
 /// Fast-path lattice evaluation, beacon-major. Each beacon scans the part of
 /// its certain-out disk's bounding sub-grid (`Lattice2D::disk_range` at its
 /// own R(1 + nf), whose square is `out2`) that lies in the sub-grid, with
-/// the chunk arms' per-point tests: `d² <= in2` connects, `d² > out2` does
+/// the batch path's per-point tests: `d² <= in2` connects, `d² > out2` does
 /// not, and the band between hashes from `s1 = premix_column(prefix, pxw)`,
 /// taken once per (beacon, column). A band point adds `take·b` with
 /// `take = double(conn)` rather than branch on the draw: adding ±0.0 leaves
@@ -95,10 +170,10 @@ void lattice_fast(const FastView& m, std::size_t nb, const Lattice2D& lattice,
     pyw.resize(g.py.size());
     // The point words enter the u-draw hash at rounds 5 and 6.
     for (std::size_t k = 0; k < nc; ++k) {
-      pxw[k] = survey_detail::premix_point_word(quantize_word(g.px[k]), 5);
+      pxw[k] = premix_point_word(quantize_word(g.px[k]), 5);
     }
     for (std::size_t r = 0; r < g.py.size(); ++r) {
-      pyw[r] = survey_detail::premix_point_word(quantize_word(g.py[r]), 6);
+      pyw[r] = premix_point_word(quantize_word(g.py[r]), 6);
     }
   }
   for (std::size_t b = 0; b < nb; ++b) {
@@ -115,7 +190,7 @@ void lattice_fast(const FastView& m, std::size_t nb, const Lattice2D& lattice,
     const IndexRange rows = clip(box.rows, g.rows);
     if (band) {
       for (std::size_t k = cols.begin; k < cols.end; ++k) {
-        s1[k] = survey_detail::premix_column(m.prefix[b], pxw[k]);
+        s1[k] = premix_column(m.prefix[b], pxw[k]);
       }
     }
     for (std::size_t r = rows.begin; r < rows.end; ++r) {
@@ -133,7 +208,7 @@ void lattice_fast(const FastView& m, std::size_t nb, const Lattice2D& lattice,
           ++cnt[k];
         } else if (band && d2 <= out2) {
           const bool conn =
-              survey_detail::band_connected_column(m, b, d2, s1[k], pyw[r]);
+              band_connected_column(m, b, d2, s1[k], pyw[r]);
           const double take = conn;
           sx[k] += take * bx;
           sy[k] += take * by;
@@ -193,46 +268,6 @@ SurveyKernel::SurveyKernel(const BeaconField& field,
   }
 }
 
-bool SurveyKernel::avx2_supported() {
-#if defined(ABP_HAVE_AVX2_KERNEL)
-  return __builtin_cpu_supports("avx2") != 0;
-#else
-  return false;
-#endif
-}
-
-SurveyBackend SurveyKernel::default_backend() {
-  if (const char* env = std::getenv("ABP_SURVEY_BACKEND")) {
-    if (std::strcmp(env, "scalar") == 0) return SurveyBackend::kScalar;
-    if (std::strcmp(env, "generic") == 0) return SurveyBackend::kGeneric;
-    if (std::strcmp(env, "avx2") == 0) return SurveyBackend::kAvx2;
-  }
-  return avx2_supported() ? SurveyBackend::kAvx2 : SurveyBackend::kGeneric;
-}
-
-void SurveyKernel::evaluate(SurveyBatch& batch) const {
-  evaluate(batch, default_backend());
-}
-
-void SurveyKernel::evaluate(SurveyBatch& batch, SurveyBackend backend) const {
-  if (!fast_) {
-    evaluate_fallback(batch);
-    return;
-  }
-  switch (backend) {
-    case SurveyBackend::kScalar:
-      evaluate_scalar(batch);
-      break;
-    case SurveyBackend::kGeneric:
-      evaluate_chunked(batch, /*use_avx2=*/false);
-      break;
-    case SurveyBackend::kAvx2:
-      // Degrades to the generic arm when AVX2 is compiled out/unsupported.
-      evaluate_chunked(batch, avx2_supported());
-      break;
-  }
-}
-
 ConnectedSum SurveyKernel::point_fast(Vec2 p) const {
   const FastPath& f = *fast_;
   FastView m{soa_.xs.data(), soa_.ys.data(),  f.nf.data(), f.prefix.data(),
@@ -250,7 +285,7 @@ ConnectedSum SurveyKernel::point_fast(Vec2 p) const {
     const double d2 = dx * dx + dy * dy;
     bool conn = d2 <= m.in2;
     if (!conn && m.band && d2 <= m.out2) {
-      conn = survey_detail::band_connected(m, b, d2, pxq, pyq);
+      conn = band_connected(m, b, d2, pxq, pyq);
     }
     if (conn) {
       out.sum += Vec2{m.bx[b], m.by[b]};
@@ -298,7 +333,7 @@ bool SurveyKernel::beacon_connected(std::size_t b, Vec2 p) const {
   const FastView m{soa_.xs.data(), soa_.ys.data(), f.nf.data(),
                    f.prefix.data(), f.range,       f.in2,
                    f.out2,          f.band};
-  return survey_detail::band_connected(m, b, d2, quantize_word(p.x),
+  return band_connected(m, b, d2, quantize_word(p.x),
                                        quantize_word(p.y));
 }
 
@@ -333,7 +368,7 @@ bool SurveyKernel::hypothetical_connected(const Hypothetical& h,
   const double d2 = dx * dx + dy * dy;
   if (d2 <= fast_->in2) return true;
   if (!fast_->band || d2 > fast_->out2) return false;
-  const double u = survey_detail::resume_u_draw(h.prefix, quantize_word(p.x),
+  const double u = resume_u_draw(h.prefix, quantize_word(p.x),
                                                 quantize_word(p.y));
   const double r = fast_->range * (1.0 + u * h.nf);
   return d2 <= r * r;
@@ -390,38 +425,21 @@ void SurveyKernel::evaluate_lattice(const Lattice2D& lattice,
   lattice_fast(view, soa_.size(), lattice, g);
 }
 
-void SurveyKernel::evaluate_scalar(SurveyBatch& batch) const {
-  const std::size_t n = batch.size();
-  batch.sum_x.assign(n, 0.0);
-  batch.sum_y.assign(n, 0.0);
-  batch.counts.assign(n, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    const ConnectedSum cs = point_fast(batch.point(i));
-    batch.sum_x[i] = cs.sum.x;
-    batch.sum_y[i] = cs.sum.y;
-    batch.counts[i] = static_cast<std::uint32_t>(cs.count);
-  }
-}
-
-void SurveyKernel::evaluate_fallback(SurveyBatch& batch) const {
-  const std::size_t n = batch.size();
-  batch.sum_x.assign(n, 0.0);
-  batch.sum_y.assign(n, 0.0);
-  batch.counts.assign(n, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    const ConnectedSum cs = point_fallback(batch.point(i));
-    batch.sum_x[i] = cs.sum.x;
-    batch.sum_y[i] = cs.sum.y;
-    batch.counts[i] = static_cast<std::uint32_t>(cs.count);
-  }
-}
-
-void SurveyKernel::evaluate_chunked(SurveyBatch& batch, bool use_avx2) const {
+void SurveyKernel::evaluate(SurveyBatch& batch) const {
   const std::size_t n = batch.size();
   batch.sum_x.assign(n, 0.0);
   batch.sum_y.assign(n, 0.0);
   batch.counts.assign(n, 0);
   if (n == 0 || soa_.empty()) return;
+  if (!fast_) {
+    for (std::size_t i = 0; i < n; ++i) {
+      const ConnectedSum cs = point_fallback(batch.point(i));
+      batch.sum_x[i] = cs.sum.x;
+      batch.sum_y[i] = cs.sum.y;
+      batch.counts[i] = static_cast<std::uint32_t>(cs.count);
+    }
+    return;
+  }
 
   const FastPath& f = *fast_;
   const FastView view{soa_.xs.data(),      soa_.ys.data(),
@@ -434,17 +452,16 @@ void SurveyKernel::evaluate_chunked(SurveyBatch& batch, bool use_avx2) const {
   std::vector<std::uint32_t> cand;
   cand.reserve(soa_.size());
 
-  alignas(32) double px[kChunk];
-  alignas(32) double py[kChunk];
-  alignas(32) double sx[kChunk];
-  alignas(32) double sy[kChunk];
-  alignas(32) std::uint64_t pxw[kChunk];
-  alignas(32) std::uint64_t pyw[kChunk];
-  alignas(32) std::uint64_t cnt[kChunk];
+  double px[kChunk];
+  double py[kChunk];
+  double sx[kChunk];
+  double sy[kChunk];
+  std::uint64_t pxw[kChunk];
+  std::uint64_t pyw[kChunk];
+  std::uint64_t cnt[kChunk];
 
   for (std::size_t start = 0; start < n; start += kChunk) {
     const std::size_t m = std::min(kChunk, n - start);
-    const std::size_t npad = (m + kLanes - 1) / kLanes * kLanes;
 
     double minx = std::numeric_limits<double>::infinity();
     double maxx = -minx;
@@ -458,21 +475,15 @@ void SurveyKernel::evaluate_chunked(SurveyBatch& batch, bool use_avx2) const {
       miny = std::min(miny, py[i]);
       maxy = std::max(maxy, py[i]);
     }
-    for (std::size_t i = m; i < npad; ++i) {
-      px[i] = kPadSentinel;
-      py[i] = kPadSentinel;
-      pxw[i] = 0;
-      pyw[i] = 0;
-    }
     if (f.band) {
       // The point words enter the u-draw hash at rounds 5 and 6.
       for (std::size_t i = 0; i < m; ++i) {
-        pxw[i] = survey_detail::premix_point_word(quantize_word(px[i]), 5);
-        pyw[i] = survey_detail::premix_point_word(quantize_word(py[i]), 6);
+        pxw[i] = premix_point_word(quantize_word(px[i]), 5);
+        pyw[i] = premix_point_word(quantize_word(py[i]), 6);
       }
     }
 
-    // Chunk-level disk query: beacons outside the padded bounding box
+    // Chunk-level disk query: beacons outside the reach-expanded bounding box
     // cannot connect to any point of the chunk (reach includes slack so
     // rounding can never drop a reachable beacon). Ascending id survives
     // because the SoA is walked front to back.
@@ -488,24 +499,13 @@ void SurveyKernel::evaluate_chunked(SurveyBatch& batch, bool use_avx2) const {
       }
     }
 
-    for (std::size_t i = 0; i < npad; ++i) {
+    for (std::size_t i = 0; i < m; ++i) {
       sx[i] = 0.0;
       sy[i] = 0.0;
       cnt[i] = 0;
     }
-
-#if defined(ABP_HAVE_AVX2_KERNEL)
-    if (use_avx2) {
-      survey_detail::eval_chunk_avx2(view, cand.data(), cand.size(), px, py,
-                                     pxw, pyw, npad, sx, sy, cnt);
-    } else
-#else
-    (void)use_avx2;
-#endif
-    {
-      eval_chunk_generic(view, cand.data(), cand.size(), px, py, pxw, pyw,
-                         npad, sx, sy, cnt);
-    }
+    eval_chunk(view, cand.data(), cand.size(), px, py, pxw, pyw, m, sx, sy,
+               cnt);
 
     for (std::size_t i = 0; i < m; ++i) {
       batch.sum_x[start + i] = sx[i];

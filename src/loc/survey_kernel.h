@@ -4,37 +4,37 @@
 /// The O(PT) lattice survey — per-point centroid-of-connected-beacons under
 /// the (noisy) disk model — sits under every `serve/` query, every
 /// `ErrorMap` recompute, and every placement decision. This header makes
-/// the *batch* the unit of optimization: callers fill a `SurveyBatch`
-/// (structure-of-arrays point coordinates), and one `SurveyKernel::evaluate`
-/// call fuses the disk query, the noisy-disk connectivity test, and the
-/// centroid accumulation over a SoA snapshot of the field (`BeaconSoA`).
+/// the *batch* the unit of optimization: one `SurveyKernel` call fuses the
+/// disk query, the noisy-disk connectivity test, and the centroid
+/// accumulation over a SoA snapshot of the field (`BeaconSoA`) for a whole
+/// `SurveyBatch` (structure-of-arrays point coordinates) or lattice
+/// sub-grid.
 ///
-/// Three arms implement the same contract and are selected at runtime:
-///  * `kScalar`  — the reference loop, one point at a time (test oracle);
-///  * `kGeneric` — chunked loop with per-chunk beacon prefilter, plain C++;
-///  * `kAvx2`    — the chunked loop in AVX2 intrinsics (4 points/lane).
+/// Three paths implement the same contract, each chosen by the input's
+/// type and never by a setting:
+///  * `evaluate(batch)` — arbitrary point batches, through a chunked loop
+///    with a per-chunk beacon prefilter, in plain C++;
+///  * `evaluate_lattice` — lattice sub-grids, beacon-major: each beacon
+///    visits only the lattice points in its own certain-out disk's
+///    bounding box;
+///  * `evaluate_point` — one point at a time, the scalar reference the
+///    property suite holds the other two to.
 ///
-/// Determinism contract (the reason the arms can be property-tested for
-/// bit-equality): every arm visits beacons in ascending id order and
+/// Determinism contract (the reason the paths can be property-tested for
+/// bit-equality): every path visits beacons in ascending id order and
 /// accumulates each point's position sum in that order with plain IEEE
-/// mul/add (no FMA contraction — the AVX2 arm is compiled with `-mavx2`
-/// only), and the noisy-disk draws reuse `stable_hash64` exactly, with the
-/// four beacon-constant words pre-absorbed per beacon (rng/hash.h). Results
-/// are therefore bit-identical across arms, and bit-identical to the
+/// mul/add (no build enables an FMA ISA, so nothing contracts), and the
+/// noisy-disk draws reuse `stable_hash64` exactly, with the four
+/// beacon-constant words pre-absorbed per beacon (rng/hash.h). Results are
+/// therefore bit-identical across paths, and bit-identical to the
 /// historical scalar `connected_sum`.
 ///
-/// The chunked arms hash fewer pairs than the scalar arm, with the same
-/// answers: a pair is certain whenever its distance lies outside the
-/// beacon's *own* band [R(1−nf), R(1+nf)] (not only the global
+/// The batch and lattice paths hash fewer pairs than the scalar one, with
+/// the same answers: a pair is certain whenever its distance lies outside
+/// the beacon's *own* band [R(1−nf), R(1+nf)] (not only the global
 /// [R(1−Noise), R(1+Noise)]), and the point half of the two per-point
-/// hash rounds is premixed once per point. The scalar arm keeps the
-/// original form and is the oracle the property suite holds them to
-/// (DESIGN.md §9).
-///
-/// Lattice sweeps take a fourth path, `evaluate_lattice`, chosen by the
-/// input type rather than a setting: it walks beacon-major, so each beacon
-/// visits only the lattice points in its own certain-out disk's bounding
-/// box, and it writes the same bits as every arm above.
+/// hash rounds is premixed once per point. `evaluate_point` keeps the
+/// original form (DESIGN.md §9).
 #pragma once
 
 #include <cstdint>
@@ -89,9 +89,6 @@ struct SurveyBatch {
   }
 };
 
-/// Which kernel arm evaluates a batch.
-enum class SurveyBackend { kScalar, kGeneric, kAvx2 };
-
 /// Immutable evaluator binding a `BeaconSoA` snapshot to a propagation
 /// model. For `PerBeaconNoiseModel`/`IdealDiskModel` the connectivity test
 /// runs on precomputed per-beacon constants (noise factor, memoized hash
@@ -105,22 +102,20 @@ class SurveyKernel {
  public:
   SurveyKernel(const BeaconField& field, const PropagationModel& model);
 
-  /// Evaluate every point in `batch` with the default backend.
+  /// Evaluate every point in `batch`.
   void evaluate(SurveyBatch& batch) const;
-  /// Evaluate with an explicit arm (property tests / CI pin both arms).
-  void evaluate(SurveyBatch& batch, SurveyBackend backend) const;
 
   /// Evaluate the lattice sub-grid `cols × rows` (points
   /// `Lattice2D::point(i, j)`), beacon-major. Point (i, j)'s sum and count
   /// land at the row-major offset `(j − rows.begin)·|cols| + (i − cols.begin)`
   /// of the three outputs, each at least |cols|·|rows| long. The same bits
-  /// `evaluate` gives on those points; `ABP_SURVEY_BACKEND` does not apply.
+  /// `evaluate` gives on those points.
   void evaluate_lattice(const Lattice2D& lattice, Lattice2D::IndexRange cols,
                         Lattice2D::IndexRange rows, std::span<double> sum_x,
                         std::span<double> sum_y,
                         std::span<std::uint32_t> counts) const;
 
-  /// Single-point evaluation (scalar arm, no allocation).
+  /// Single-point evaluation (the scalar reference, no allocation).
   ConnectedSum evaluate_point(Vec2 p) const;
 
   /// Does the beacon at SoA index `b` connect to `p`? The predicate every
@@ -148,12 +143,6 @@ class SurveyKernel {
   /// True when the model hit the precomputed (non-virtual) fast path.
   bool fast_path() const { return fast_.has_value(); }
 
-  /// Is the AVX2 arm compiled in and supported by this CPU?
-  static bool avx2_supported();
-  /// Runtime dispatch: `ABP_SURVEY_BACKEND=scalar|generic|avx2` overrides;
-  /// otherwise AVX2 when available, else the generic arm.
-  static SurveyBackend default_backend();
-
  private:
   struct FastPath {
     double range = 0.0;  // nominal R
@@ -163,15 +152,12 @@ class SurveyKernel {
     std::vector<double> nf;              // per-beacon noise factor
     std::vector<std::uint64_t> prefix;   // per-beacon u-draw hash prefix
     // Per-beacon squared certain-in/out radii, R(1 - nf) and R(1 + nf):
-    // the chunk arms' and the lattice path's band is each beacon's own,
-    // inside the global one.
+    // the batch and lattice paths' band is each beacon's own, inside the
+    // global one.
     std::vector<double> beacon_in2;
     std::vector<double> beacon_out2;
   };
 
-  void evaluate_scalar(SurveyBatch& batch) const;
-  void evaluate_chunked(SurveyBatch& batch, bool use_avx2) const;
-  void evaluate_fallback(SurveyBatch& batch) const;
   ConnectedSum point_fast(Vec2 p) const;
   ConnectedSum point_fallback(Vec2 p) const;
 

@@ -18,18 +18,17 @@ Vec2 CoveragePlacement::propose(const PlacementContext& ctx, Rng&) const {
   ABP_CHECK(ctx.nominal_range > 0.0, "coverage placement requires R");
   const Lattice2D& lattice = ctx.survey->lattice();
 
-  // Precompute which lattice points are currently uncovered: one batched
-  // kernel pass instead of a per-point field snapshot.
+  // Precompute which lattice points are currently uncovered: one lattice
+  // sweep, whose row-major offsets over the full lattice are flat indices.
   const SurveyKernel kernel(*ctx.field, *ctx.model);
-  SurveyBatch batch;
-  batch.reserve(lattice.size());
-  lattice.for_each([&](std::size_t, Vec2 p) { batch.push(p); });
-  kernel.evaluate(batch);
+  std::vector<double> sum_x(lattice.size()), sum_y(lattice.size());
+  std::vector<std::uint32_t> counts(lattice.size());
+  kernel.evaluate_lattice(lattice, {0, lattice.nx()}, {0, lattice.ny()},
+                          sum_x, sum_y, counts);
   std::vector<std::uint8_t> uncovered(lattice.size(), 0);
-  std::size_t idx = 0;
-  lattice.for_each([&](std::size_t flat, Vec2) {
-    uncovered[flat] = batch.counts[idx++] == 0;
-  });
+  for (std::size_t flat = 0; flat < lattice.size(); ++flat) {
+    uncovered[flat] = counts[flat] == 0;
+  }
 
   std::size_t best_gain = 0;
   Vec2 best_pos = lattice.point(0);

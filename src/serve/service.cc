@@ -523,7 +523,7 @@ std::vector<Response> LocalizationService::handle_batch(
     std::span<const Request> requests) {
   std::vector<Response> responses(requests.size());
   // Fast path: all requests are point queries against one known deployment —
-  // lock once, resolve every point in a single pass.
+  // lock once, then handle each request under that lock.
   bool coalescable = !requests.empty();
   for (const Request& request : requests) {
     if (!endpoint_traits(request.endpoint).batchable ||

@@ -8,8 +8,8 @@
 /// request/response API. Each named deployment owns its field, propagation
 /// model, lattice and error map under one mutex; point queries
 /// (localize / error-at) against the same deployment can be executed as one
-/// batch that takes the lock once and walks the spatial index in a single
-/// pass — the amortization `Server` exploits for throughput.
+/// batch that takes the lock once and then evaluates each request's points
+/// in one kernel call — the amortization `Server` exploits for throughput.
 #pragma once
 
 #include <cstdint>
@@ -67,10 +67,10 @@ class LocalizationService {
   Response handle(const Request& request);
 
   /// Handle point-query requests (localize / error-at) that all target the
-  /// same deployment: the deployment lock is taken once and all points are
-  /// resolved in a single pass over the spatial index. Responses are
-  /// returned in request order. Non-point-query requests fall back to
-  /// `handle` individually.
+  /// same deployment: the deployment lock is taken once, and each request
+  /// is then evaluated on its own, in one kernel call over its points.
+  /// Responses are returned in request order. Non-point-query requests fall
+  /// back to `handle` individually.
   std::vector<Response> handle_batch(std::span<const Request> requests);
 
   ServiceMetrics& metrics() { return metrics_; }

@@ -4,6 +4,8 @@
 
 #include "common/assert.h"
 #include "field/generators.h"
+#include "loc/connectivity.h"
+#include "radio/noise_model.h"
 #include "radio/propagation.h"
 #include "rng/rng.h"
 
@@ -95,6 +97,32 @@ TEST(Coverage, DensityDrivesConnectivityToOneComponent) {
   const auto stats = analyze_coverage(field, kModel, kLattice);
   EXPECT_EQ(stats.components, 1u);
   EXPECT_EQ(stats.largest_component, 150u);
+}
+
+TEST(Coverage, KCoverageMatchesPointCountsUnderNoise) {
+  // Noisy disks, a non-unit step, offset bounds and nx != ny: each k's
+  // fraction must equal, exactly, the one counted point by point.
+  const Vec2 lo{-13.1, 6.4};
+  const Lattice2D lattice(AABB(lo, lo + Vec2{0.7 * 150, 0.7 * 120}), 0.7);
+  ASSERT_NE(lattice.nx(), lattice.ny());
+  BeaconField field(lattice.bounds());
+  Rng rng(0x5C);
+  scatter_uniform(field, 60, rng);
+  const PerBeaconNoiseModel model(15.0, 0.5, 0xC0DE);
+  constexpr std::size_t kMax = 4;
+  const auto stats = analyze_coverage(field, model, lattice, kMax);
+  std::vector<std::size_t> hits(kMax, 0);
+  for (std::size_t flat = 0; flat < lattice.size(); ++flat) {
+    const std::size_t n = connected_count(field, model, lattice.point(flat));
+    for (std::size_t k = 1; k <= kMax; ++k) hits[k - 1] += n >= k;
+  }
+  ASSERT_EQ(stats.covered_fraction.size(), kMax);
+  for (std::size_t k = 1; k <= kMax; ++k) {
+    EXPECT_EQ(stats.covered_fraction[k - 1],
+              static_cast<double>(hits[k - 1]) /
+                  static_cast<double>(lattice.size()))
+        << "k=" << k;
+  }
 }
 
 TEST(Coverage, RejectsZeroKMax) {

@@ -1,17 +1,18 @@
 /// Property tests for the batched survey kernel (loc/survey_kernel.h).
 ///
-/// The kernel's contract is *bit-identity*: every arm (scalar, generic,
-/// AVX2) and every wrapper built on it must reproduce the historical
-/// per-point scalar path exactly — same connected sets, same ascending-id
-/// accumulation, same IEEE doubles. All comparisons here use exact
-/// equality on purpose; a one-ulp drift is a bug.
+/// The kernel's contract is *bit-identity*: every path (`evaluate_point`,
+/// `evaluate(batch)`, `evaluate_lattice`) and every wrapper built on them
+/// must reproduce the historical per-point scalar path exactly — same
+/// connected sets, same ascending-id accumulation, same IEEE doubles. The
+/// scalar reference `evaluate_point` is held to the historical oracle, and
+/// the batch and lattice paths to `evaluate_point`. All comparisons here
+/// use exact equality on purpose; a one-ulp drift is a bug.
 #include "loc/survey_kernel.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -30,7 +31,7 @@ namespace {
 
 /// The historical scalar path, reproduced verbatim: spatial-index disk
 /// query, per-beacon virtual predicate, sort by id, accumulate ascending.
-/// This is the oracle every kernel arm must match bit-for-bit.
+/// This is the oracle `evaluate_point` must match bit-for-bit.
 ConnectedSum oracle_connected_sum(const BeaconField& field,
                                   const PropagationModel& model, Vec2 point) {
   std::vector<std::pair<BeaconId, Vec2>> hits;
@@ -88,8 +89,8 @@ std::vector<Vec2> make_points(std::size_t n, std::uint64_t seed) {
 
 /// Points on each beacon's own band edges R(1−nf) and R(1+nf), and one
 /// ulp either side of each radius, in the four axis directions: the pairs
-/// the chunk arms decide without a hash draw by the per-beacon band, right
-/// where that decision flips.
+/// the batch and lattice paths decide without a hash draw by the per-beacon
+/// band, right where that decision flips.
 std::vector<Vec2> band_edge_points(const BeaconField& field,
                                    const PerBeaconNoiseModel& model) {
   std::vector<Vec2> pts;
@@ -109,23 +110,28 @@ std::vector<Vec2> band_edge_points(const BeaconField& field,
   return pts;
 }
 
-void expect_batches_equal(const SurveyBatch& a, const SurveyBatch& b,
-                          const char* what) {
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a.counts[i], b.counts[i]) << what << " count @" << i;
-    // Exact bit equality, not almost-equal.
-    EXPECT_EQ(a.sum_x[i], b.sum_x[i]) << what << " sum_x @" << i;
-    EXPECT_EQ(a.sum_y[i], b.sum_y[i]) << what << " sum_y @" << i;
-  }
-}
-
-void evaluate_into(const SurveyKernel& kernel, const std::vector<Vec2>& pts,
-                   SurveyBackend backend, SurveyBatch& batch) {
-  batch.clear();
+SurveyBatch make_batch(const std::vector<Vec2>& pts) {
+  SurveyBatch batch;
   batch.reserve(pts.size());
   for (Vec2 p : pts) batch.push(p);
-  kernel.evaluate(batch, backend);
+  return batch;
+}
+
+/// `evaluate(batch)` on `pts` against `evaluate_point` at each point,
+/// exact `==`.
+void expect_batch_matches_points(const SurveyKernel& kernel,
+                                 const std::vector<Vec2>& pts,
+                                 const std::string& what) {
+  SurveyBatch batch = make_batch(pts);
+  kernel.evaluate(batch);
+  ASSERT_EQ(batch.size(), pts.size());
+  for (std::size_t i = 0; i < pts.size(); ++i) {
+    const ConnectedSum want = kernel.evaluate_point(pts[i]);
+    EXPECT_EQ(want.count, batch.counts[i]) << what << " count @" << i;
+    // Exact bit equality, not almost-equal.
+    EXPECT_EQ(want.sum.x, batch.sum_x[i]) << what << " sum_x @" << i;
+    EXPECT_EQ(want.sum.y, batch.sum_y[i]) << what << " sum_y @" << i;
+  }
 }
 
 class SurveyKernelNoise : public ::testing::TestWithParam<double> {};
@@ -145,7 +151,7 @@ TEST_P(SurveyKernelNoise, ScalarArmMatchesHistoricalOracle) {
   }
 }
 
-TEST_P(SurveyKernelNoise, AllArmsBitIdenticalAcrossBatchSizes) {
+TEST_P(SurveyKernelNoise, BatchMatchesPointPathAcrossBatchSizes) {
   const double noise = GetParam();
   for (const bool clustered : {false, true}) {
     const BeaconField field = make_field(48, 0xC3, clustered);
@@ -154,7 +160,6 @@ TEST_P(SurveyKernelNoise, AllArmsBitIdenticalAcrossBatchSizes) {
     std::vector<Vec2> all = make_points(1024, 0xD4);
     const std::vector<Vec2> edges = band_edge_points(field, model);
     all.insert(all.end(), edges.begin(), edges.end());
-    SurveyBatch scalar, generic, avx2;
     for (const std::size_t n : {std::size_t{1}, std::size_t{2}, std::size_t{3},
                                 std::size_t{4}, std::size_t{5}, std::size_t{7},
                                 std::size_t{8}, std::size_t{15},
@@ -164,13 +169,9 @@ TEST_P(SurveyKernelNoise, AllArmsBitIdenticalAcrossBatchSizes) {
                                 std::size_t{257}, std::size_t{1024},
                                 all.size()}) {
       const std::vector<Vec2> pts(all.begin(), all.begin() + n);
-      evaluate_into(kernel, pts, SurveyBackend::kScalar, scalar);
-      evaluate_into(kernel, pts, SurveyBackend::kGeneric, generic);
-      expect_batches_equal(scalar, generic, "generic");
-      if (SurveyKernel::avx2_supported()) {
-        evaluate_into(kernel, pts, SurveyBackend::kAvx2, avx2);
-        expect_batches_equal(scalar, avx2, "avx2");
-      }
+      expect_batch_matches_points(
+          kernel, pts,
+          (clustered ? "clustered n=" : "uniform n=") + std::to_string(n));
     }
   }
 }
@@ -186,13 +187,10 @@ TEST(SurveyKernel, EmptyFieldAndEmptyBatch) {
   kernel.evaluate(batch);
   EXPECT_EQ(batch.size(), 0u);
   batch.push({50.0, 50.0});
-  for (const auto backend : {SurveyBackend::kScalar, SurveyBackend::kGeneric,
-                             SurveyBackend::kAvx2}) {
-    kernel.evaluate(batch, backend);
-    EXPECT_EQ(batch.counts[0], 0u);
-    EXPECT_EQ(batch.sum_x[0], 0.0);
-    EXPECT_EQ(batch.sum_y[0], 0.0);
-  }
+  kernel.evaluate(batch);
+  EXPECT_EQ(batch.counts[0], 0u);
+  EXPECT_EQ(batch.sum_x[0], 0.0);
+  EXPECT_EQ(batch.sum_y[0], 0.0);
 }
 
 TEST(SurveyKernel, SingletonField) {
@@ -200,15 +198,7 @@ TEST(SurveyKernel, SingletonField) {
   field.add({50.0, 50.0});
   const PerBeaconNoiseModel model(15.0, 0.5, 7);
   const SurveyKernel kernel(field, model);
-  SurveyBatch scalar, generic, avx2;
-  const std::vector<Vec2> pts = make_points(257, 0xE5);
-  evaluate_into(kernel, pts, SurveyBackend::kScalar, scalar);
-  evaluate_into(kernel, pts, SurveyBackend::kGeneric, generic);
-  expect_batches_equal(scalar, generic, "generic");
-  if (SurveyKernel::avx2_supported()) {
-    evaluate_into(kernel, pts, SurveyBackend::kAvx2, avx2);
-    expect_batches_equal(scalar, avx2, "avx2");
-  }
+  expect_batch_matches_points(kernel, make_points(257, 0xE5), "singleton");
 }
 
 TEST(SurveyKernel, IdealDiskModelTakesFastPathAndMatchesOracle) {
@@ -216,16 +206,14 @@ TEST(SurveyKernel, IdealDiskModelTakesFastPathAndMatchesOracle) {
   const IdealDiskModel model(15.0);
   const SurveyKernel kernel(field, model);
   EXPECT_TRUE(kernel.fast_path());
-  SurveyBatch scalar, generic;
   const std::vector<Vec2> pts = make_points(200, 0x22);
-  evaluate_into(kernel, pts, SurveyBackend::kScalar, scalar);
-  evaluate_into(kernel, pts, SurveyBackend::kGeneric, generic);
-  expect_batches_equal(scalar, generic, "generic");
+  SurveyBatch batch = make_batch(pts);
+  kernel.evaluate(batch);
   for (std::size_t i = 0; i < pts.size(); ++i) {
     const ConnectedSum want = oracle_connected_sum(field, model, pts[i]);
-    EXPECT_EQ(want.count, scalar.counts[i]);
-    EXPECT_EQ(want.sum.x, scalar.sum_x[i]);
-    EXPECT_EQ(want.sum.y, scalar.sum_y[i]);
+    EXPECT_EQ(want.count, batch.counts[i]);
+    EXPECT_EQ(want.sum.x, batch.sum_x[i]);
+    EXPECT_EQ(want.sum.y, batch.sum_y[i]);
   }
 }
 
@@ -234,9 +222,9 @@ TEST(SurveyKernel, FallbackModelBatchMatchesOracle) {
   const LogNormalShadowingModel model(15.0, 3.0, 4.0, 0x77);
   const SurveyKernel kernel(field, model);
   EXPECT_FALSE(kernel.fast_path());
-  SurveyBatch batch;
   const std::vector<Vec2> pts = make_points(200, 0x44);
-  evaluate_into(kernel, pts, SurveyBackend::kAvx2, batch);  // degrades
+  SurveyBatch batch = make_batch(pts);
+  kernel.evaluate(batch);
   for (std::size_t i = 0; i < pts.size(); ++i) {
     const ConnectedSum want = oracle_connected_sum(field, model, pts[i]);
     EXPECT_EQ(want.count, batch.counts[i]);
@@ -402,7 +390,7 @@ BeaconField lattice_field(const Lattice2D& lattice, LatticeFieldKind kind,
   return field;
 }
 
-/// `evaluate_lattice` on `cols × rows` against the scalar arm on the same
+/// `evaluate_lattice` on `cols × rows` against `evaluate_point` on the same
 /// points, exact `==`. The outputs start as garbage to check they are reset.
 void expect_lattice_matches_scalar(const SurveyKernel& kernel,
                                    const Lattice2D& lattice,
@@ -413,23 +401,21 @@ void expect_lattice_matches_scalar(const SurveyKernel& kernel,
   std::vector<double> sx(n, -1.0), sy(n, -2.0);
   std::vector<std::uint32_t> cnt(n, 99);
   kernel.evaluate_lattice(lattice, cols, rows, sx, sy, cnt);
-  SurveyBatch batch;
-  for (std::size_t j = rows.begin; j < rows.end; ++j) {
-    for (std::size_t i = cols.begin; i < cols.end; ++i) {
-      batch.push(lattice.point(i, j));
-    }
-  }
-  kernel.evaluate(batch, SurveyBackend::kScalar);
+  std::size_t k = 0;
   std::size_t mismatches = 0;
-  for (std::size_t k = 0; k < n; ++k) {
-    if (cnt[k] != batch.counts[k] || sx[k] != batch.sum_x[k] ||
-        sy[k] != batch.sum_y[k]) {
-      ++mismatches;
-      ADD_FAILURE() << what << " @" << k << " " << batch.point(k)
-                    << ": count " << cnt[k] << " vs " << batch.counts[k]
-                    << ", sum (" << sx[k] << ", " << sy[k] << ") vs ("
-                    << batch.sum_x[k] << ", " << batch.sum_y[k] << ")";
-      if (mismatches > 5) return;
+  for (std::size_t j = rows.begin; j < rows.end; ++j) {
+    for (std::size_t i = cols.begin; i < cols.end; ++i, ++k) {
+      const Vec2 p = lattice.point(i, j);
+      const ConnectedSum want = kernel.evaluate_point(p);
+      if (cnt[k] != want.count || sx[k] != want.sum.x ||
+          sy[k] != want.sum.y) {
+        ++mismatches;
+        ADD_FAILURE() << what << " @" << k << " " << p << ": count "
+                      << cnt[k] << " vs " << want.count << ", sum (" << sx[k]
+                      << ", " << sy[k] << ") vs (" << want.sum.x << ", "
+                      << want.sum.y << ")";
+        if (mismatches > 5) return;
+      }
     }
   }
 }
@@ -542,19 +528,6 @@ TEST(SurveyKernel, BeaconConnectedMatchesEvaluatePoint) {
     EXPECT_EQ(want.sum.x, sum.sum.x);
     EXPECT_EQ(want.sum.y, sum.sum.y);
   }
-}
-
-TEST(SurveyKernel, DefaultBackendHonorsEnvOverride) {
-  ::setenv("ABP_SURVEY_BACKEND", "scalar", 1);
-  EXPECT_EQ(SurveyKernel::default_backend(), SurveyBackend::kScalar);
-  ::setenv("ABP_SURVEY_BACKEND", "generic", 1);
-  EXPECT_EQ(SurveyKernel::default_backend(), SurveyBackend::kGeneric);
-  ::setenv("ABP_SURVEY_BACKEND", "avx2", 1);
-  EXPECT_EQ(SurveyKernel::default_backend(), SurveyBackend::kAvx2);
-  ::unsetenv("ABP_SURVEY_BACKEND");
-  const SurveyBackend def = SurveyKernel::default_backend();
-  EXPECT_EQ(def, SurveyKernel::avx2_supported() ? SurveyBackend::kAvx2
-                                                : SurveyBackend::kGeneric);
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 
 #include "common/assert.h"
 #include "field/generators.h"
+#include "loc/connectivity.h"
 #include "loc/coverage.h"
 #include "loc/error_map.h"
 #include "radio/noise_model.h"
@@ -93,6 +94,59 @@ TEST(CoverageAlg, IgnoresErrorMagnitudes) {
   Rng r2(6);
   const Vec2 b = alg.propose(s.ctx(), r2);
   EXPECT_EQ(a, b);
+}
+
+/// `CoveragePlacement::propose` by brute force: per-point counts mark the
+/// uncovered points, then each strided candidate's gain is counted over its
+/// disk; the first maximum wins.
+Vec2 reference_pick(const BeaconField& field, const PropagationModel& model,
+                    const Lattice2D& lattice, std::size_t stride,
+                    double range) {
+  std::vector<std::uint8_t> uncovered(lattice.size());
+  for (std::size_t flat = 0; flat < lattice.size(); ++flat) {
+    uncovered[flat] = connected_count(field, model, lattice.point(flat)) == 0;
+  }
+  std::size_t best_gain = 0;
+  Vec2 best = lattice.point(0);
+  bool first = true;
+  for (std::size_t j = 0; j < lattice.ny(); j += stride) {
+    for (std::size_t i = 0; i < lattice.nx(); i += stride) {
+      const Vec2 candidate = lattice.point(i, j);
+      std::size_t gain = 0;
+      lattice.for_each_in_disk(candidate, range, [&](std::size_t flat, Vec2) {
+        gain += uncovered[flat];
+      });
+      if (first || gain > best_gain) {
+        best_gain = gain;
+        best = candidate;
+        first = false;
+      }
+    }
+  }
+  return best;
+}
+
+TEST(CoverageAlg, PickMatchesPointCountReferenceUnderNoise) {
+  // Noisy disks, a non-unit step, offset bounds and nx != ny, so a mask
+  // read in the wrong order picks elsewhere.
+  const Vec2 lo{-13.1, 6.4};
+  const AABB bounds(lo, lo + Vec2{0.7 * 150, 0.7 * 120});
+  const Lattice2D lattice(bounds, 0.7);
+  ASSERT_NE(lattice.nx(), lattice.ny());
+  BeaconField field(bounds);
+  Rng gen(0x6D);
+  scatter_uniform(field, 60, gen);
+  const PerBeaconNoiseModel model(15.0, 0.5, 0xFACE);
+  const SurveyData survey(lattice);
+  PlacementContext ctx = PlacementContext::basic(survey, bounds, 15.0);
+  ctx.field = &field;
+  ctx.model = &model;
+  for (const std::size_t stride : {2, 3}) {
+    Rng rng(8);
+    EXPECT_EQ(CoveragePlacement(stride).propose(ctx, rng),
+              reference_pick(field, model, lattice, stride, 15.0))
+        << "stride " << stride;
+  }
 }
 
 TEST(CoverageAlg, RequiresContext) {
