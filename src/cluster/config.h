@@ -30,8 +30,9 @@ struct RouterConfig {
   std::size_t write_quorum = 0;
   /// Mutation-log entries retained per deployment (the replay window on
   /// circuit-breaker recovery; lag beyond it takes a full snapshot resync).
-  /// Doubles as the request-id dedup window: a retry whose id has rolled
-  /// out of this window is answered terminal `dedup-expired`.
+  /// Doubles as the request-id dedup window, counted in entries (id-free
+  /// ones too): a retry whose id has rolled out of it is answered terminal
+  /// `dedup-expired`.
   std::size_t log_retain = 64;
   /// Request-id deduplication on the write path (`--dedup 0` disables —
   /// benchmarking only; every delivery then appends).

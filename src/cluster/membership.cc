@@ -1,8 +1,6 @@
 #include "cluster/membership.h"
 
-#include <algorithm>
 #include <chrono>
-#include <condition_variable>
 #include <thread>
 #include <utility>
 
@@ -186,108 +184,18 @@ void MembershipController::invalidate(const std::string& deployment) {
   if (invalidate_) invalidate_(deployment);
 }
 
-std::uint64_t MembershipController::install_blocking(
-    const std::string& backend, const std::string& name) {
-  struct Latch {
-    std::mutex mu;
-    std::condition_variable cv;
-    bool done = false;
-    bool ok = false;
-  };
-  auto latch = std::make_shared<Latch>();
-  BackendPool::Forward forward;
-  forward.request = replicator_->install_request(name);
-  const std::uint64_t version = forward.request.version;
-  forward.on_reply = [latch](std::string payload) {
-    const auto response = serve::parse_response(payload);
-    std::lock_guard<std::mutex> lock(latch->mu);
-    latch->ok = response && response->status == serve::Status::kOk;
-    latch->done = true;
-    latch->cv.notify_all();
-  };
-  forward.on_failure = [latch] {
-    std::lock_guard<std::mutex> lock(latch->mu);
-    latch->done = true;
-    latch->cv.notify_all();
-  };
-  if (!pool_->enqueue(backend, std::move(forward))) return 0;
-  std::unique_lock<std::mutex> lock(latch->mu);
-  latch->cv.wait(lock, [&latch] { return latch->done; });
-  return latch->ok ? version : 0;
-}
-
-std::uint64_t MembershipController::replay_blocking(
-    const std::string& backend, const std::string& name,
-    std::uint64_t have_version) {
-  const auto entries = replicator_->log().suffix(name, have_version);
-  if (!entries) {
-    // The gap outran the retained window — one snapshot truncates it.
-    const std::uint64_t version = install_blocking(backend, name);
-    if (version != 0) metrics_->record_handoff_snapshot();
-    return version;
+std::uint64_t MembershipController::ship(const std::string& backend,
+                                         const std::string& name,
+                                         std::uint64_t have_version) {
+  const Replicator::CatchUpResult result =
+      replicator_->catch_up_blocking(backend, name, have_version);
+  if (result.reached == 0) return 0;
+  if (result.installed) {
+    metrics_->record_handoff_snapshot();
+  } else if (result.replayed != 0) {
+    metrics_->record_handoff_replay();
   }
-  if (entries->empty()) return have_version;  // already current
-  // Pipeline the suffix. A backend with several workers may run two of
-  // these mutates out of order: the later one answers `version-mismatch`
-  // with the version it holds, and so does every entry after the gap.
-  // Resume from the highest version any reply reports and pipeline the
-  // rest again. The entry right above that version always applies, so
-  // every round advances and one round per entry bounds the loop.
-  struct Latch {
-    std::mutex mu;
-    std::condition_variable cv;
-    std::size_t outstanding = 0;
-    bool failed = false;        ///< transport failure or a terminal status
-    std::uint64_t held = 0;     ///< highest version a reply reported
-  };
-  const std::uint64_t target = entries->back().version;
-  std::uint64_t held = have_version;
-  for (std::size_t round = 0; round < entries->size() && held < target;
-       ++round) {
-    auto latch = std::make_shared<Latch>();
-    latch->held = held;
-    for (const MutationLog::Entry& entry : *entries) {
-      if (entry.version <= held) continue;
-      BackendPool::Forward forward;
-      forward.request = replicator_->mutate_request(name, entry);
-      forward.on_reply = [latch](std::string payload) {
-        const auto response = serve::parse_response(payload);
-        std::lock_guard<std::mutex> lock(latch->mu);
-        if (response && (response->status == serve::Status::kOk ||
-                         response->status ==
-                             serve::Status::kVersionMismatch)) {
-          latch->held = std::max(latch->held, response->version);
-        } else {
-          latch->failed = true;
-        }
-        --latch->outstanding;
-        latch->cv.notify_all();
-      };
-      forward.on_failure = [latch] {
-        std::lock_guard<std::mutex> lock(latch->mu);
-        latch->failed = true;
-        --latch->outstanding;
-        latch->cv.notify_all();
-      };
-      {
-        std::lock_guard<std::mutex> lock(latch->mu);
-        ++latch->outstanding;
-      }
-      if (!pool_->enqueue(backend, std::move(forward))) {
-        std::lock_guard<std::mutex> lock(latch->mu);
-        --latch->outstanding;
-        latch->failed = true;
-        break;
-      }
-    }
-    std::unique_lock<std::mutex> lock(latch->mu);
-    latch->cv.wait(lock, [&latch] { return latch->outstanding == 0; });
-    if (latch->failed || latch->held <= held) return 0;
-    held = latch->held;
-  }
-  if (held < target) return 0;
-  metrics_->record_handoff_replay();
-  return target;
+  return result.reached;
 }
 
 AdminResult MembershipController::add(const std::string& backend) {
@@ -334,12 +242,11 @@ AdminResult MembershipController::add(const std::string& backend) {
   std::size_t replays = 0;
   std::map<std::string, std::uint64_t> shipped;  // deployment → version
   for (const std::string& name : gained) {
-    const std::uint64_t version = install_blocking(backend, name);
+    const std::uint64_t version = ship(backend, name, 0);
     if (version == 0) {
       return rollback("handoff snapshot of '" + name + "' to '" + backend +
                       "' failed; join rolled back");
     }
-    metrics_->record_handoff_snapshot();
     ++snapshots;
     shipped[name] = version;
   }
@@ -351,8 +258,7 @@ AdminResult MembershipController::add(const std::string& backend) {
     for (auto& [name, version] : shipped) {
       if (replicator_->version(name) == version) continue;
       current = false;
-      const std::uint64_t reached =
-          replay_blocking(backend, name, version);
+      const std::uint64_t reached = ship(backend, name, version);
       if (reached == 0) {
         return rollback("handoff replay of '" + name + "' to '" + backend +
                         "' failed; join rolled back");
@@ -371,7 +277,7 @@ AdminResult MembershipController::add(const std::string& backend) {
   run_fenced([&] {
     for (auto& [name, version] : shipped) {
       if (replicator_->version(name) == version) continue;
-      const std::uint64_t reached = replay_blocking(backend, name, version);
+      const std::uint64_t reached = ship(backend, name, version);
       if (reached == 0 || replicator_->version(name) != reached) {
         flip_error = "final catch-up of '" + name + "' on '" + backend +
                      "' failed; join rolled back";
@@ -443,10 +349,7 @@ AdminResult MembershipController::drain(const std::string& backend) {
   for (const HashRing::Transfer& transfer : transfers) {
     for (const std::string& owner : transfer.new_owners) {
       if (!transfer.gained_by(owner)) continue;
-      if (install_blocking(owner, transfer.key) != 0) {
-        metrics_->record_handoff_snapshot();
-        ++snapshots;
-      }
+      if (ship(owner, transfer.key, 0) != 0) ++snapshots;
     }
   }
 

@@ -17,13 +17,14 @@
 ///  * `MembershipController` executes the `admin` wire verbs. **add**: pool
 ///    the joiner, compute the deterministic `HashRing::transfer_set` against
 ///    the prospective ring, ship snapshot installs + mutation-log suffixes
-///    until the joiner is version-current, then — under the router's write
-///    fence, so no write straddles the flip — replay the final delta,
-///    activate (epoch bump), and invalidate the response cache for every
-///    remapped deployment. **drain**: flip the member out of the ring first
-///    (again under the write fence, with the same cache invalidation), hand
-///    its remapped ranges to the owners that gained them, wait for its FIFO
-///    to empty through `BackendPool`, then remove it.
+///    through `Replicator::catch_up_blocking` until the joiner is
+///    version-current, then — under the router's write fence, so no write
+///    straddles the flip — replay the final delta, activate (epoch bump),
+///    and invalidate the response cache for every remapped deployment.
+///    **drain**: flip the member out of the ring first (again under the
+///    write fence, with the same cache invalidation), hand its remapped
+///    ranges to the owners that gained them, wait for its FIFO to empty
+///    through `BackendPool`, then remove it.
 ///
 /// Quorum during a transition: the router reads one view per write while
 /// holding its write mutex, and both flips run inside that same mutex — so
@@ -158,18 +159,11 @@ class MembershipController {
   void publish_metrics() const;
   void run_fenced(const std::function<void()>& fn);
   void invalidate(const std::string& deployment);
-  /// Ship a full snapshot install of `name`, blocking for the ack. Returns
-  /// the installed version, 0 on failure.
-  std::uint64_t install_blocking(const std::string& backend,
-                                 const std::string& name);
-  /// Replay the mutation suffix above `have_version`, blocking for every
-  /// ack. Mutates a multi-worker backend ran out of order are re-sent from
-  /// the version it reports holding, at most one round per entry. Returns
-  /// the version the backend reached, 0 on failure; falls back to a
-  /// snapshot install when the gap exceeds the retained window.
-  std::uint64_t replay_blocking(const std::string& backend,
-                                const std::string& name,
-                                std::uint64_t have_version);
+  /// Hand `name` to `backend` from `have_version` (0 ships a snapshot)
+  /// through `Replicator::catch_up_blocking`, counting the shipment as a
+  /// handoff snapshot or replay. Returns the version reached, 0 on failure.
+  std::uint64_t ship(const std::string& backend, const std::string& name,
+                     std::uint64_t have_version);
 
   MembershipTable* table_;
   BackendPool* pool_;

@@ -32,11 +32,10 @@ std::uint64_t MutationLog::install(const std::string& name,
   deployment.text = std::move(field_text);
   deployment.text_dirty = false;
   deployment.entries.clear();
-  if (!deployment.dedup.empty()) {
+  if (deployment.dedup.size() != 0) {
     // Re-install over an id-bearing history: those ids are gone for good,
     // so unknown-id retries are ambiguous from here on.
-    deployment.dedup.clear();
-    deployment.dedup_complete = false;
+    deployment.dedup.reset(false);
   }
   ++deployment.version;
   // A fresh install is fully replicated by sync before reads are fenced on
@@ -53,58 +52,55 @@ MutationLog::AppendResult MutationLog::append(const std::string& name,
   ABP_CHECK(it != deployments_.end(), "unknown deployment: " + name);
   Deployment& deployment = *it->second;
   AppendResult result;
-  Entry entry;
   for (const Vec2 p : points) {
     // Same clamp + sequential id allocation a replica's own apply performs.
     const Vec2 pos = deployment.field.bounds().clamp(p);
-    const BeaconId id = deployment.field.add(pos);
+    result.beacon_ids.push_back(deployment.field.add(pos));
     result.positions.push_back(pos);
-    result.beacon_ids.push_back(id);
-    entry.points.push_back(pos);
-    entry.beacon_ids.push_back(id);
   }
   deployment.text_dirty = true;
-  entry.version = ++deployment.version;
-  entry.request_id = request_id;
-  result.version = deployment.version;
+  result.version = ++deployment.version;
   if (request_id != 0) {
-    const bool inserted =
-        deployment.dedup.emplace(request_id, entry.version).second;
-    ABP_CHECK(inserted, "request id appended twice to deployment '" + name +
-                            "' — callers must dedup_lookup first");
+    const bool fresh = deployment.dedup.record(request_id, result);
+    ABP_CHECK(fresh, "request id appended twice to deployment '" + name +
+                         "' — callers must ask dedup_verdict first");
   }
-  deployment.entries.push_back(std::move(entry));
+  deployment.entries.push_back({result.version, result.positions, request_id});
   while (deployment.entries.size() > retain_) {
-    const Entry& evicted = deployment.entries.front();
-    if (evicted.request_id != 0) {
-      deployment.dedup.erase(evicted.request_id);
-      deployment.dedup_complete = false;
+    // Entries and index share one order: an evicted id-bearing entry's id
+    // is the index's oldest.
+    if (deployment.entries.front().request_id != 0) {
+      deployment.dedup.evict_oldest();
     }
     deployment.entries.pop_front();
   }
   return result;
 }
 
-std::optional<MutationLog::DedupHit> MutationLog::dedup_lookup(
-    const std::string& name, std::uint64_t request_id) const {
-  if (request_id == 0) return std::nullopt;
+serve::DedupIndex::Verdict MutationLog::dedup_verdict(
+    const std::string& name, std::uint64_t request_id, std::uint32_t attempt,
+    DedupHit* hit) const {
   std::lock_guard<std::mutex> lock(mu_);
   const auto it = deployments_.find(name);
-  if (it == deployments_.end()) return std::nullopt;
+  if (it == deployments_.end()) return serve::DedupIndex::Verdict::kFresh;
   const Deployment& deployment = *it->second;
-  const auto hit = deployment.dedup.find(request_id);
-  if (hit == deployment.dedup.end()) return std::nullopt;
-  // Retained entries hold contiguous versions, so the mapped version
-  // addresses its entry directly.
-  const std::uint64_t front = deployment.entries.front().version;
-  const Entry& entry =
-      deployment.entries[static_cast<std::size_t>(hit->second - front)];
-  DedupHit result;
-  result.version = entry.version;
-  result.positions = entry.points;
-  result.beacon_ids = entry.beacon_ids;
-  result.acked = entry.version <= deployment.last_acked;
-  return result;
+  const serve::DedupIndex::Verdict verdict =
+      deployment.dedup.verdict(request_id, attempt);
+  if (verdict == serve::DedupIndex::Verdict::kDuplicate) {
+    const serve::WriteAck& first = *deployment.dedup.find(request_id);
+    *hit = {first, first.version <= deployment.last_acked};
+  }
+  return verdict;
+}
+
+std::optional<MutationLog::DedupHit> MutationLog::dedup_lookup(
+    const std::string& name, std::uint64_t request_id) const {
+  DedupHit hit;
+  if (dedup_verdict(name, request_id, 0, &hit) !=
+      serve::DedupIndex::Verdict::kDuplicate) {
+    return std::nullopt;
+  }
+  return hit;
 }
 
 bool MutationLog::dedup_complete(const std::string& name) const {
@@ -112,7 +108,7 @@ bool MutationLog::dedup_complete(const std::string& name) const {
   const auto it = deployments_.find(name);
   // An unknown deployment has no id history at all, which is (vacuously)
   // complete.
-  return it == deployments_.end() || it->second->dedup_complete;
+  return it == deployments_.end() || it->second->dedup.complete();
 }
 
 std::uint64_t MutationLog::version(const std::string& name) const {

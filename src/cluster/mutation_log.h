@@ -24,16 +24,16 @@
 ///  * `record_acked` tracks the highest quorum-acknowledged version per
 ///    deployment — the router's read fence (read-your-writes: reads are
 ///    stamped with the last *acked* version, never an in-flight one).
-///  * `dedup_lookup` is the exactly-once index: entries appended with a
-///    client request id are findable by that id for as long as they stay in
-///    the retained window, yielding the version they were assigned plus the
-///    positions/ids needed to re-synthesize the original ack. The index is
-///    derived state — it lives and dies with the retained entries, so
-///    rebuilding the log (replaying the same appends) rebuilds the same
-///    index. `dedup_complete` reports whether any id-bearing entry has ever
-///    been evicted: while true, an unknown id is *provably* fresh; once
-///    false, an unknown id on a retry is ambiguous and callers must answer
-///    `dedup-expired` instead of re-appending.
+///  * `dedup_verdict` consults the deployment's exactly-once index, a
+///    `serve::DedupIndex` like the one a direct server keeps: entries
+///    appended with a client request id are findable by that id, with the
+///    positions/ids needed to re-synthesize the original ack, for as long
+///    as the entry stays in the retained window. The window counts every
+///    retained entry, id-free ones included; when an id-bearing entry
+///    leaves it, its id leaves the index and the index is incomplete for
+///    good, so an unknown id on a retry is answered `dedup-expired` instead
+///    of re-appended. The index is derived state: replaying the same
+///    appends rebuilds the same index.
 ///
 /// All methods are thread-safe under one internal mutex; the apply path is
 /// deterministic (clamp + sequential id allocation over a canonically
@@ -52,6 +52,7 @@
 
 #include "field/beacon_field.h"
 #include "geom/vec2.h"
+#include "serve/dedup_index.h"
 
 namespace abp::cluster {
 
@@ -61,22 +62,17 @@ class MutationLog {
   static constexpr std::size_t kDefaultRetain = 64;
 
   /// One logged mutation: the version it establishes, the (clamped) beacon
-  /// positions it deploys, the beacon ids the deterministic apply allocated
-  /// for them, and the client request id that wrote it (0 = id-free).
+  /// positions it deploys, and the client request id that wrote it (0 =
+  /// id-free).
   struct Entry {
     std::uint64_t version = 0;
     std::vector<Vec2> points;
-    std::vector<std::uint32_t> beacon_ids;
     std::uint64_t request_id = 0;
   };
 
   /// Deterministic result of applying one mutation to the authoritative
   /// field — mirrors what every replica's own apply produces.
-  struct AppendResult {
-    std::uint64_t version = 0;
-    std::vector<Vec2> positions;
-    std::vector<std::uint32_t> beacon_ids;
-  };
+  using AppendResult = serve::WriteAck;
 
   explicit MutationLog(std::size_t retain = kDefaultRetain);
 
@@ -88,25 +84,29 @@ class MutationLog {
 
   /// Append one mutation: clamp `points`, apply them to the authoritative
   /// field, bump the version, retain the entry. The deployment must exist.
-  /// A non-zero `request_id` is persisted with the entry and indexed for
-  /// `dedup_lookup`; appending an id already in the index is a caller bug
-  /// (the caller must look it up first, under its own write serialization).
+  /// A non-zero `request_id` is persisted with the entry and indexed;
+  /// appending an id already in the index is a caller bug (the caller must
+  /// ask `dedup_verdict` first, under its own write serialization).
   AppendResult append(const std::string& name, const std::vector<Vec2>& points,
                       std::uint64_t request_id = 0);
 
-  /// One retained, id-bearing entry resolved by client request id — enough
-  /// to answer the duplicate with the original ack (`positions`/`beacon_ids`
-  /// are exactly what the first append returned) and to decide whether that
-  /// ack was ever quorum-confirmed (`acked`).
-  struct DedupHit {
-    std::uint64_t version = 0;
-    std::vector<Vec2> positions;
-    std::vector<std::uint32_t> beacon_ids;
+  /// One retained, id-bearing entry resolved by client request id: exactly
+  /// what the first append returned, enough to answer the duplicate with
+  /// the original ack, and whether that ack was ever quorum-confirmed.
+  struct DedupHit : serve::WriteAck {
     bool acked = false;  ///< version <= last_acked at lookup time
   };
 
-  /// Find the retained entry written under `request_id`; nullopt when the
-  /// id is unknown — either never appended, or evicted with the window
+  /// The index's verdict on delivery `attempt` of `request_id`
+  /// (`serve::DedupIndex::verdict`); on a duplicate, `*hit` receives the
+  /// logged apply. An unknown deployment's index is empty and complete.
+  serve::DedupIndex::Verdict dedup_verdict(const std::string& name,
+                                           std::uint64_t request_id,
+                                           std::uint32_t attempt,
+                                           DedupHit* hit) const;
+
+  /// The retained entry written under `request_id`; nullopt when the id is
+  /// unknown — either never appended, or evicted with the window
   /// (disambiguate via `dedup_complete`).
   std::optional<DedupHit> dedup_lookup(const std::string& name,
                                        std::uint64_t request_id) const;
@@ -159,11 +159,9 @@ class MutationLog {
     std::uint64_t version = 0;
     std::uint64_t last_acked = 0;
     std::deque<Entry> entries;  ///< retained window, ascending version
-    /// request id → version, covering exactly the id-bearing retained
-    /// entries (entries are contiguous by version, so the entry for a
-    /// mapped version is at `entries[version - entries.front().version]`).
-    std::map<std::uint64_t, std::uint64_t> dedup;
-    bool dedup_complete = true;  ///< no id-bearing entry ever evicted
+    /// Holds exactly the ids of the id-bearing retained entries, in their
+    /// order; complete while none was ever evicted or cleared.
+    serve::DedupIndex dedup;
   };
 
   const std::size_t retain_;

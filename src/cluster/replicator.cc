@@ -1,9 +1,10 @@
 #include "cluster/replicator.h"
 
-#include <atomic>
-#include <condition_variable>
+#include <algorithm>
+#include <future>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <random>
 #include <utility>
 
@@ -19,6 +20,15 @@ std::uint64_t fresh_incarnation() {
   std::uint64_t id = 0;
   while (id == 0) id = (std::uint64_t{device()} << 32) ^ device();
   return id;
+}
+
+/// A catch-up `done` that fulfils `*future`.
+Replicator::CatchUpDone fulfil(std::future<Replicator::CatchUpResult>* future) {
+  auto promise = std::make_shared<std::promise<Replicator::CatchUpResult>>();
+  *future = promise->get_future();
+  return [promise](const Replicator::CatchUpResult& result) {
+    promise->set_value(result);
+  };
 }
 
 }  // namespace
@@ -86,48 +96,19 @@ serve::Request Replicator::mutate_request(
 }
 
 std::size_t Replicator::sync_all() {
-  // Counting latch: every accepted enqueue must come back (reply or
-  // failure) before startup proceeds, so the first forwarded query never
-  // races its own deployment's install.
-  struct Latch {
-    std::mutex mu;
-    std::condition_variable cv;
-    std::size_t outstanding = 0;
-    std::size_t ok = 0;
-  };
-  auto latch = std::make_shared<Latch>();
+  // Queue every install before waiting on any, then wait for all of them:
+  // the first forwarded query never races its own deployment's install.
+  std::vector<std::future<CatchUpResult>> installs;
   for (const std::string& name : names()) {
     for (const std::string& backend : owners(name)) {
-      BackendPool::Forward forward;
-      forward.request = install_request(name);
-      forward.on_reply = [this, latch, backend](std::string payload) {
-        const auto response = serve::parse_response(payload);
-        const bool ok =
-            response && response->status == serve::Status::kOk;
-        if (ok) metrics_->record_install(backend);
-        std::lock_guard<std::mutex> lock(latch->mu);
-        if (ok) ++latch->ok;
-        --latch->outstanding;
-        latch->cv.notify_all();
-      };
-      forward.on_failure = [latch] {
-        std::lock_guard<std::mutex> lock(latch->mu);
-        --latch->outstanding;
-        latch->cv.notify_all();
-      };
-      {
-        std::lock_guard<std::mutex> lock(latch->mu);
-        ++latch->outstanding;
-      }
-      if (!pool_->enqueue(backend, std::move(forward))) {
-        std::lock_guard<std::mutex> lock(latch->mu);
-        --latch->outstanding;
-      }
+      catch_up(backend, name, 0, fulfil(&installs.emplace_back()));
     }
   }
-  std::unique_lock<std::mutex> lock(latch->mu);
-  latch->cv.wait(lock, [&latch] { return latch->outstanding == 0; });
-  return latch->ok;
+  std::size_t installed = 0;
+  for (std::future<CatchUpResult>& install : installs) {
+    if (install.get().installed) ++installed;
+  }
+  return installed;
 }
 
 void Replicator::sync_backend(const std::string& backend) {
@@ -142,18 +123,15 @@ void Replicator::sync_backend(const std::string& backend) {
     if (!owned) continue;
     // Probe the backend's version first: the replay-vs-resync decision
     // needs to know how far behind it actually is. The probe reply runs on
-    // a pool worker and enqueues the repair on the same backend FIFO.
+    // a pool worker and queues the catch-up on the same backend FIFO.
     BackendPool::Forward probe;
     probe.request.endpoint = serve::Endpoint::kVersion;
     probe.request.field = name;
     probe.on_reply = [this, backend, name](std::string payload) {
       const auto response = serve::parse_response(payload);
-      if (!response || response->status != serve::Status::kOk) {
-        // Unparseable or errored probe: fall back to a full install.
-        repair_backend(backend, name, 0);
-        return;
-      }
-      repair_backend(backend, name, response->version);
+      // An unparseable or errored probe falls back to a full install.
+      const bool ok = response && response->status == serve::Status::kOk;
+      catch_up(backend, name, ok ? response->version : 0, nullptr);
     };
     // Best-effort: a failed probe leaves the backend stale, and the
     // per-query version fence catches that on the next forward.
@@ -162,55 +140,124 @@ void Replicator::sync_backend(const std::string& backend) {
   }
 }
 
-void Replicator::repair_backend(const std::string& backend,
-                                const std::string& name,
-                                std::uint64_t have_version) {
-  const auto entries = log_.suffix(name, have_version);
-  if (entries && entries->empty()) return;  // already current
+/// One catch-up in flight, shared by the callbacks of its current round.
+struct Replicator::CatchUp {
+  std::string backend;
+  std::string name;
+  CatchUpDone done;
+  std::mutex mu;
+  /// Guarded by mu. The round in flight: the version it started from, the
+  /// highest version its replies reported, its requests not yet settled,
+  /// whether it installs, whether any request failed. Then the last
+  /// version of the first replay round, and the tally so far.
+  std::uint64_t from = 0;
+  std::uint64_t high = 0;
+  std::size_t pending = 0;
+  bool install = false;
+  bool failed = false;
+  std::uint64_t target = 0;
+  CatchUpResult result;
+};
+
+bool Replicator::catch_up(const std::string& backend, const std::string& name,
+                          std::uint64_t have_version, CatchUpDone done) {
+  auto state = std::make_shared<CatchUp>();
+  state->backend = backend;
+  state->name = name;
+  state->done = std::move(done);
+  return start_round(state, have_version);
+}
+
+Replicator::CatchUpResult Replicator::catch_up_blocking(
+    const std::string& backend, const std::string& name,
+    std::uint64_t have_version) {
+  std::future<CatchUpResult> result;
+  catch_up(backend, name, have_version, fulfil(&result));
+  return result.get();
+}
+
+bool Replicator::start_round(const std::shared_ptr<CatchUp>& state,
+                             std::uint64_t from) {
+  std::optional<std::vector<MutationLog::Entry>> entries;
+  if (from != 0) entries = log_.suffix(state->name, from);
+  if (entries && entries->empty()) {  // current (or ahead)
+    state->result.reached = from;
+    if (state->done) state->done(state->result);
+    return true;
+  }
+  std::vector<serve::Request> requests;
   if (entries) {
-    // Replay the missing suffix in order on the backend's FIFO. A backend
-    // with several workers may still run two of these mutates out of
-    // order: the later one answers `version-mismatch` with the version it
-    // holds, and so does every entry after the gap. The first such reply
-    // restarts the replay from that version, queued behind this one; the
-    // entry right above the held version always applies, so every replay
-    // advances and the restarts end. Any other reply means the backend
-    // raced a newer install; the fence on live traffic repairs that case.
-    auto restarted = std::make_shared<std::atomic<bool>>(false);
     for (const MutationLog::Entry& entry : *entries) {
-      BackendPool::Forward forward;
-      forward.request = mutate_request(name, entry);
-      forward.on_reply = [this, backend, name,
-                          restarted](std::string payload) {
-        const auto response = serve::parse_response(payload);
-        if (!response) return;
-        if (response->status == serve::Status::kOk) {
-          metrics_->record_mutation_ack(backend);
-          metrics_->record_replay(backend);
-        } else if (response->status == serve::Status::kVersionMismatch &&
-                   !restarted->exchange(true)) {
-          repair_backend(backend, name, response->version);
-        }
-      };
-      forward.on_failure = [] {};
-      if (pool_->enqueue(backend, std::move(forward))) {
-        metrics_->record_mutation(backend);
-      }
+      requests.push_back(mutate_request(state->name, entry));
     }
+  } else {
+    // Behind the retained window, or asked to install: one snapshot
+    // truncates the lag in one round trip.
+    requests.push_back(install_request(state->name));
+  }
+  {
+    std::lock_guard<std::mutex> lock(state->mu);
+    state->from = from;
+    state->high = from;
+    state->pending = requests.size();
+    state->install = !entries;
+    state->failed = false;
+    if (entries && state->target == 0) state->target = entries->back().version;
+  }
+  std::size_t queued = 0;
+  for (serve::Request& request : requests) {
+    BackendPool::Forward forward;
+    forward.request = std::move(request);
+    forward.on_reply = [this, state](std::string payload) {
+      const std::optional<serve::Response> response =
+          serve::parse_response(payload);
+      settle(state, 1, response ? &*response : nullptr);
+    };
+    forward.on_failure = [this, state] { settle(state, 1, nullptr); };
+    if (!pool_->enqueue(state->backend, std::move(forward))) break;
+    if (entries) metrics_->record_mutation(state->backend);
+    ++queued;
+  }
+  if (queued == requests.size()) return true;
+  settle(state, requests.size() - queued, nullptr);
+  return false;
+}
+
+void Replicator::settle(const std::shared_ptr<CatchUp>& state,
+                        std::size_t slots, const serve::Response* response) {
+  std::uint64_t reached = 0;
+  bool resume = false;
+  {
+    std::lock_guard<std::mutex> lock(state->mu);
+    const bool ok = response && response->status == serve::Status::kOk;
+    if (ok || (response && response->status ==
+                               serve::Status::kVersionMismatch)) {
+      state->high = std::max(state->high, response->version);
+    } else {
+      state->failed = true;
+    }
+    if (ok && state->install) {
+      state->result.installed = true;
+      metrics_->record_install(state->backend);
+    } else if (ok) {
+      ++state->result.replayed;
+      metrics_->record_mutation_ack(state->backend);
+      metrics_->record_replay(state->backend);
+    }
+    state->pending -= slots;
+    if (state->pending != 0) return;
+    // The round is over. One that advanced resumes from the highest
+    // version reported until it passes the first replay round's last
+    // entry; an install already holds the log's version.
+    if (!state->failed && state->high > state->from) reached = state->high;
+    resume = reached != 0 && reached < state->target;
+  }
+  if (resume) {
+    start_round(state, reached);
     return;
   }
-  // Behind the retained window (or the probe failed): full snapshot
-  // install truncates the lag in one round trip.
-  BackendPool::Forward forward;
-  forward.request = install_request(name);
-  forward.on_reply = [this, backend](std::string payload) {
-    const auto response = serve::parse_response(payload);
-    if (response && response->status == serve::Status::kOk) {
-      metrics_->record_install(backend);
-    }
-  };
-  forward.on_failure = [] {};
-  pool_->enqueue(backend, std::move(forward));
+  state->result.reached = reached;
+  if (state->done) state->done(state->result);
 }
 
 }  // namespace abp::cluster

@@ -17,17 +17,18 @@
 ///    of the retried query on the same backend FIFO — ordering, not
 ///    locking, guarantees install-before-retry.
 ///
-/// `sync_all()` pushes every deployment to all its ring owners and blocks
-/// until each install is acknowledged or failed (startup barrier).
-/// `sync_backend()` is the async recovery path: when the pool's breaker
-/// closes on a recovered backend, each owned deployment is probed with a
-/// cheap `version` request and then either *replayed* (the missing `mutate`
-/// suffix, in order, when the lag fits the log's retained window) or
-/// *resynced* (full snapshot install) — all enqueued on the backend's FIFO
-/// from the probe reply, never blocking the prober.
+/// Every path that brings a backend's copy of a deployment up to date runs
+/// through `catch_up`: it *replays* the missing `mutate` suffix when the
+/// lag fits the log's retained window, or *resyncs* with one snapshot
+/// install when it does not. Its callers are the startup barrier
+/// `sync_all()`, breaker recovery `sync_backend()` (probe the version, then
+/// catch up from it, never blocking the pool worker), the router's
+/// mismatch repair, and the membership handoff via `catch_up_blocking`.
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -80,13 +81,35 @@ class Replicator {
 
   /// Async resync of every deployment `backend` owns (breaker-recovery
   /// path; runs on a pool worker thread, must not block): probe the
-  /// backend's version, then replay the mutate suffix or install a full
-  /// snapshot.
+  /// backend's version, then `catch_up` from it.
   void sync_backend(const std::string& backend);
 
+  /// What one catch-up achieved.
+  struct CatchUpResult {
+    std::uint64_t reached = 0;  ///< version the backend holds; 0 = failed
+    bool installed = false;     ///< a snapshot install was acknowledged
+    std::size_t replayed = 0;   ///< replayed entries acknowledged `ok`
+  };
+  using CatchUpDone = std::function<void(const CatchUpResult&)>;
+
+  /// Bring `backend`'s copy of `name` from `have_version` to the log's
+  /// version: replay the retained suffix in rounds (DESIGN.md §10), or ship
+  /// one snapshot install when the gap is outside the window or
+  /// `have_version` is 0. The first round is queued on the backend's FIFO
+  /// before this returns, so work the caller queues next lands behind it.
+  /// `done` (may be empty) runs exactly once; when the backend refuses the
+  /// first enqueue, it runs with `reached == 0` before this returns false.
+  bool catch_up(const std::string& backend, const std::string& name,
+                std::uint64_t have_version, CatchUpDone done);
+
+  /// `catch_up`, blocking until `done`. Never call it from a pool worker:
+  /// the rounds it waits for need those threads.
+  CatchUpResult catch_up_blocking(const std::string& backend,
+                                  const std::string& name,
+                                  std::uint64_t have_version);
+
   /// Build the install request for `name` at its current version, stamped
-  /// with this replicator's incarnation (also used by the router's
-  /// mismatch-repair path).
+  /// with this replicator's incarnation.
   serve::Request install_request(const std::string& name) const;
 
   /// Build the `mutate` request for one logged entry of `name`.
@@ -99,10 +122,14 @@ class Replicator {
   const MutationLog& log() const { return log_; }
 
  private:
-  /// Enqueue the replay-or-resync decision for one (backend, deployment)
-  /// pair given the version the backend reported.
-  void repair_backend(const std::string& backend, const std::string& name,
-                      std::uint64_t have_version);
+  struct CatchUp;
+  /// Queue one round of `state` from version `from`; false when the
+  /// backend refused any of it.
+  bool start_round(const std::shared_ptr<CatchUp>& state, std::uint64_t from);
+  /// Settle `slots` of the round's requests with the reply to one of them
+  /// (null when they failed or were refused); the last one ends the round.
+  void settle(const std::shared_ptr<CatchUp>& state, std::size_t slots,
+              const serve::Response* response);
 
   BackendPool* pool_;
   const MembershipTable* membership_;

@@ -26,6 +26,19 @@ std::string rejection_payload(std::uint64_t seq, serve::Status status,
   return serve::format_response(response);
 }
 
+/// The client's `add-beacon` ack, synthesized from the logged apply: the
+/// same clamp + id allocation every replica performs, so it is
+/// byte-identical to what a direct single server with this history would
+/// have answered. The client holds seq constant across retries, so a
+/// duplicate's re-synthesis matches the first ack's bytes too.
+std::string ack_payload(std::uint64_t seq, const serve::WriteAck& logged) {
+  serve::Response ok;
+  ok.seq = seq;
+  ok.positions = logged.positions;
+  ok.beacon_ids = logged.beacon_ids;
+  return serve::format_response_capped(ok);
+}
+
 }  // namespace
 
 Router::Router(MembershipTable& membership, BackendPool& pool,
@@ -299,18 +312,10 @@ void Router::handle_reply(const std::shared_ptr<CallState>& state,
         return;
       }
       state->repaired = true;
-      // Install-then-retry on the same backend FIFO: per-backend ordering
-      // guarantees the fresh snapshot lands before the retried request.
-      BackendPool::Forward install;
-      install.request = replicator_->install_request(state->request.field);
-      install.on_reply = [this, backend](std::string install_payload) {
-        const auto ack = serve::parse_response(install_payload);
-        if (ack && ack->status == serve::Status::kOk) {
-          metrics_->record_install(backend);
-        }
-      };
-      install.on_failure = [] {};
-      if (!pool_->enqueue(backend, std::move(install))) {
+      // Install-then-retry on the same backend FIFO: a catch-up from
+      // version 0 queues the fresh snapshot before it returns, so
+      // per-backend ordering lands it before the retried request.
+      if (!replicator_->catch_up(backend, state->request.field, 0, nullptr)) {
         handle_failure(state, backend);
         return;
       }
@@ -418,65 +423,30 @@ void Router::route_write(serve::Request request,
     if (pool_->health(backend) != BackendHealth::kOpen) ++live;
   }
   MutationLog& log = replicator_->log();
-  if (request_id != 0) {
-    if (const std::optional<MutationLog::DedupHit> hit =
-            log.dedup_lookup(request.field, request_id)) {
-      // Duplicate delivery of a write already in the log. Re-synthesize
-      // the *original* ack (same deterministic positions/ids; the client
-      // holds seq constant across retries, so the bytes match the first
-      // synthesis too).
-      metrics_->record_write_dedup_hit();
-      serve::Response ok;
-      ok.seq = request.seq;
-      ok.positions = hit->positions;
-      ok.beacon_ids = hit->beacon_ids;
-      std::string ok_payload = serve::format_response_capped(ok);
-      if (hit->acked) {
-        reply(ok_payload);
-        return;
-      }
-      // The first fan-out lost its quorum after the append: the retry's
-      // job is to finish that write, not to mint a new one. Re-fan the
-      // logged entry out (same version — replicas that took it already ack
-      // idempotently) and answer the original ack at quorum.
-      if (live < quorum) {
-        metrics_->record_unrouted();
-        reply(rejection_payload(
-            request.seq, serve::Status::kUnavailable,
-            "write quorum of " + std::to_string(quorum) +
-                " unreachable for '" + request.field + "' (" +
-                std::to_string(live) + " live owners)",
-            options_.retry_after_hint_ms));
-        return;
-      }
-      auto state = std::make_shared<WriteState>();
-      state->quorum = quorum;
-      state->targets = owners.size();
-      state->reply = std::move(reply);
-      state->ok_payload = std::move(ok_payload);
-      state->mutate.endpoint = serve::Endpoint::kMutate;
-      state->mutate.seq = request.seq;
-      state->mutate.field = request.field;
-      state->mutate.points = hit->positions;
-      state->mutate.version = hit->version;
-      state->mutate.request_id = request_id;
-      for (const std::string& backend : owners) {
-        send_mutation(state, backend);
-      }
+  MutationLog::DedupHit hit;
+  const serve::DedupIndex::Verdict verdict =
+      log.dedup_verdict(request.field, request_id, request.attempt, &hit);
+  const bool duplicate = verdict == serve::DedupIndex::Verdict::kDuplicate;
+  if (duplicate) {
+    // Duplicate delivery of a write already in the log: answer the
+    // *original* ack. If its fan-out lost quorum after the append, the
+    // retry's job is to finish that write, not to mint a new one: it
+    // re-fans the logged entry out below (same version — replicas that
+    // took it already ack idempotently) and answers at quorum.
+    metrics_->record_write_dedup_hit();
+    if (hit.acked) {
+      reply(ack_payload(request.seq, hit));
       return;
     }
-    if (request.attempt > 0 && !log.dedup_complete(request.field)) {
-      // A *retry* whose id is unknown after the index has evicted entries:
-      // the first delivery may have appended and aged out, so appending
-      // again risks the duplicate this whole path exists to prevent.
-      // Terminal by design — see DESIGN.md §11.
-      metrics_->record_write_dedup_expired();
-      reply(rejection_payload(
-          request.seq, serve::Status::kDedupExpired,
-          "request id unknown and the dedup window for '" + request.field +
-              "' has rolled over; verify the write and mint a fresh id"));
-      return;
-    }
+  } else if (verdict == serve::DedupIndex::Verdict::kExpired) {
+    // A *retry* whose id is unknown after the index has evicted entries:
+    // the first delivery may have appended and aged out, so appending
+    // again risks the duplicate this whole path exists to prevent.
+    // Terminal by design — see DESIGN.md §11.
+    metrics_->record_write_dedup_expired();
+    reply(rejection_payload(request.seq, serve::Status::kDedupExpired,
+                            serve::DedupIndex::expired_message(request.field)));
+    return;
   }
   // Feasibility check before the append: if fewer owners are live than the
   // quorum needs, shed now — the log stays untouched, so the client's
@@ -491,27 +461,20 @@ void Router::route_write(serve::Request request,
         options_.retry_after_hint_ms));
     return;
   }
+  const serve::WriteAck logged =
+      duplicate ? std::move(hit)
+                : log.append(request.field, request.points, request_id);
+  if (!duplicate) metrics_->record_write();
   auto state = std::make_shared<WriteState>();
   state->quorum = quorum;
   state->targets = owners.size();
   state->reply = std::move(reply);
-  const MutationLog::AppendResult applied =
-      log.append(request.field, request.points, request_id);
-  metrics_->record_write();
-  // The client's response is synthesized from the deterministic apply —
-  // the same clamp + id allocation every replica performs — so it is
-  // byte-identical to what a direct single server with this history
-  // would have answered.
-  serve::Response ok;
-  ok.seq = request.seq;
-  ok.positions = applied.positions;
-  ok.beacon_ids = applied.beacon_ids;
-  state->ok_payload = serve::format_response_capped(ok);
+  state->ok_payload = ack_payload(request.seq, logged);
   state->mutate.endpoint = serve::Endpoint::kMutate;
   state->mutate.seq = request.seq;
   state->mutate.field = request.field;
-  state->mutate.points = applied.positions;
-  state->mutate.version = applied.version;
+  state->mutate.points = logged.positions;
+  state->mutate.version = logged.version;
   state->mutate.request_id = request_id;
   for (const std::string& backend : owners) {
     send_mutation(state, backend);
@@ -555,23 +518,13 @@ void Router::handle_mutation_reply(const std::shared_ptr<WriteState>& state,
       std::lock_guard<std::mutex> lock(state->mu);
       first_repair = state->repaired.insert(backend).second;
     }
-    if (first_repair) {
-      // Install-then-retry on the same backend FIFO: the snapshot (at the
-      // log's *current* version, ≥ this mutation's) lands first, then the
-      // retried mutation collects an idempotent ack.
-      BackendPool::Forward install;
-      install.request = replicator_->install_request(state->mutate.field);
-      install.on_reply = [this, backend](std::string install_payload) {
-        const auto ack = serve::parse_response(install_payload);
-        if (ack && ack->status == serve::Status::kOk) {
-          metrics_->record_install(backend);
-        }
-      };
-      install.on_failure = [] {};
-      if (pool_->enqueue(backend, std::move(install))) {
-        send_mutation(state, backend);
-        return;
-      }
+    // Install-then-retry on the same backend FIFO: the snapshot (at the
+    // log's *current* version, ≥ this mutation's) lands first, then the
+    // retried mutation collects an idempotent ack.
+    if (first_repair &&
+        replicator_->catch_up(backend, state->mutate.field, 0, nullptr)) {
+      send_mutation(state, backend);
+      return;
     }
     write_failure(state, backend);
     return;

@@ -39,7 +39,8 @@ struct ServeConfig {
   double noise = 0.0;
   std::uint64_t seed = 1;
   /// Request ids remembered per deployment for exactly-once `add-beacon`
-  /// (`--dedup-window`; 0 disables server-side dedup).
+  /// (`--dedup-window`; 0 disables server-side dedup). It counts ids, while
+  /// the router's `--log-retain` counts log entries, id-free ones too.
   std::size_t dedup_window = 64;
 
   // One-shot mode (stdin/file frames through the loopback; no sockets).

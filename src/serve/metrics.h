@@ -135,10 +135,10 @@ struct BackendSnapshot {
   std::uint64_t transport_failures = 0;  ///< send/flush/connect failures
   std::uint64_t retries = 0;    ///< re-sends to another replica
   std::uint64_t version_mismatches = 0;  ///< stale-snapshot rejections
-  std::uint64_t installs = 0;   ///< snapshot installs shipped
+  std::uint64_t installs = 0;   ///< snapshot installs acknowledged
   std::uint64_t mutations = 0;  ///< mutate requests shipped (writes + replay)
   std::uint64_t mutation_acks = 0;  ///< mutate requests acknowledged
-  std::uint64_t replays = 0;    ///< log entries replayed on recovery
+  std::uint64_t replays = 0;    ///< log entries replayed (recovery, handoff)
   std::uint64_t probes = 0;     ///< heartbeat probes sent
   std::uint64_t probe_failures = 0;
   std::uint64_t marked_down = 0;  ///< health transitions into `open`
@@ -219,10 +219,12 @@ class RouterMetrics {
   /// output always reflects the live table.
   void set_membership(std::uint64_t epoch, std::uint64_t active,
                       std::uint64_t joining, std::uint64_t draining);
-  /// Handoff shipments to a joining (or ownership-gaining) backend: one
-  /// `handoff_snapshot` per blocking full-state install, one
-  /// `handoff_replay` per mutation-log suffix replayed to close the gap
-  /// that opened while the snapshot shipped.
+  /// Handoff shipments to a joining (or ownership-gaining) backend, per
+  /// handoff catch-up that succeeded: one `handoff_snapshot` when it shipped
+  /// a full-state install, one `handoff_replay` when it replayed a
+  /// mutation-log suffix to close the gap that opened while the snapshot
+  /// shipped. The backend's own `installs`/`mutations`/`replays` count the
+  /// requests themselves, as for every other catch-up.
   void record_handoff_snapshot();
   void record_handoff_replay();
 

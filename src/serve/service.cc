@@ -1,6 +1,5 @@
 #include "serve/service.h"
 
-#include <deque>
 #include <sstream>
 #include <utility>
 
@@ -13,6 +12,7 @@
 #include "placement/max_placement.h"
 #include "placement/random_placement.h"
 #include "rng/hash.h"
+#include "serve/dedup_index.h"
 
 namespace abp::serve {
 
@@ -83,21 +83,11 @@ struct LocalizationService::Deployment {
   /// `mu`); 0 = not installed by a router, or by an unfenced one.
   std::uint64_t incarnation = 0;
 
-  /// Exactly-once write state (guarded by `mu`): the ack data of each
-  /// remembered request id, FIFO-bounded by `ServiceConfig::dedup_window`.
-  /// Both client `add-beacon` applies and replicated `mutate` applies
-  /// record here, so a replica that replays the log reconstructs the same
-  /// index the primary built. `dedup_complete` flips false the first time
-  /// an id is evicted (or the history is discarded by a snapshot install):
-  /// from then on an unknown id on a retry is ambiguous → `dedup-expired`.
-  struct DedupEntry {
-    std::uint64_t version = 0;
-    std::vector<Vec2> positions;
-    std::vector<std::uint32_t> beacon_ids;
-  };
-  std::map<std::uint64_t, DedupEntry> dedup;
-  std::deque<std::uint64_t> dedup_order;  ///< insertion order, for eviction
-  bool dedup_complete = true;
+  /// Exactly-once write state (guarded by `mu`), at most
+  /// `ServiceConfig::dedup_window` ids. Both client `add-beacon` applies
+  /// and replicated `mutate` applies record here, so a replica that replays
+  /// the log reconstructs the same index the primary built.
+  DedupIndex dedup;
 };
 
 LocalizationService::LocalizationService(ServiceConfig config)
@@ -304,37 +294,26 @@ Response LocalizationService::handle_locked(Deployment& deployment,
           return error_response(request, Status::kBadRequest,
                                 "add-beacon needs at least one point");
         }
-        if (request.request_id != 0) {
-          const auto hit = deployment.dedup.find(request.request_id);
-          if (hit != deployment.dedup.end()) {
+        switch (deployment.dedup.verdict(request.request_id,
+                                         request.attempt)) {
+          case DedupIndex::Verdict::kDuplicate: {
             // Duplicate delivery (lost ack, duplicated frame): answer the
             // original ack; the beacons are already deployed.
-            response.positions = hit->second.positions;
-            response.beacon_ids = hit->second.beacon_ids;
+            const WriteAck& first = *deployment.dedup.find(request.request_id);
+            response.positions = first.positions;
+            response.beacon_ids = first.beacon_ids;
             break;
           }
-          if (request.attempt > 0 && !deployment.dedup_complete) {
+          case DedupIndex::Verdict::kExpired:
             // A retry whose id may have aged out of the window: appending
             // again could double-deploy, so refuse definitively instead.
-            return error_response(
-                request, Status::kDedupExpired,
-                "request id unknown and the dedup window for '" +
-                    request.field +
-                    "' has rolled over; verify the write and mint a fresh "
-                    "id");
-          }
+            return error_response(request, Status::kDedupExpired,
+                                  DedupIndex::expired_message(request.field));
+          case DedupIndex::Verdict::kFresh:
+            apply_write_locked(deployment, request, deployment.version,
+                               response);
+            break;
         }
-        for (const Vec2 p : request.points) {
-          const Vec2 pos = deployment.field.bounds().clamp(p);
-          const BeaconId id = deployment.field.add(pos);
-          deployment.map.apply_addition(deployment.field,
-                                        deployment.localizer.kernel(),
-                                        *deployment.field.get(id));
-          response.positions.push_back(pos);
-          response.beacon_ids.push_back(id);
-        }
-        record_dedup_locked(deployment, request.request_id,
-                            deployment.version, response);
         break;
       }
       case Endpoint::kSnapshot: {
@@ -391,53 +370,40 @@ Response LocalizationService::apply_mutation_locked(Deployment& deployment,
     mismatch.version = deployment.version;
     return mismatch;
   }
+  // The mutate carries the client write's request id; recording it is what
+  // makes live fan-out, recovery replay, and a later direct retry all see
+  // the same dedup state. (Idempotent acks above don't record: a mutation
+  // absorbed via snapshot has no reconstructible ack, which the snapshot
+  // path accounts for by marking the index incomplete.)
   try {
-    for (const Vec2 p : request.points) {
-      const Vec2 pos = deployment.field.bounds().clamp(p);
-      const BeaconId id = deployment.field.add(pos);
-      deployment.map.apply_addition(deployment.field,
-                                    deployment.localizer.kernel(),
-                                    *deployment.field.get(id));
-      response.positions.push_back(pos);
-      response.beacon_ids.push_back(id);
-    }
+    apply_write_locked(deployment, request, request.version, response);
   } catch (const CheckFailure& e) {
     return error_response(request, Status::kInternal, e.what());
   }
   deployment.version = request.version;
   response.version = request.version;
   response.mutation_ack = request.version;
-  // The mutate carries the client write's request id; recording it here is
-  // what makes live fan-out, recovery replay, and a later direct retry all
-  // see the same dedup state. (Idempotent acks above don't record — a
-  // mutation absorbed via snapshot has no reconstructible ack, which the
-  // snapshot path accounts for by dropping `dedup_complete`.)
-  if (request.request_id != 0) {
-    Response ack;
-    ack.positions = response.positions;
-    ack.beacon_ids = response.beacon_ids;
-    record_dedup_locked(deployment, request.request_id, request.version, ack);
-  }
   return response;
 }
 
-void LocalizationService::record_dedup_locked(Deployment& deployment,
-                                              std::uint64_t request_id,
-                                              std::uint64_t version,
-                                              const Response& response) {
-  if (request_id == 0 || config_.dedup_window == 0) return;
-  const bool inserted =
-      deployment.dedup
-          .emplace(request_id, Deployment::DedupEntry{version,
-                                                      response.positions,
-                                                      response.beacon_ids})
-          .second;
-  if (!inserted) return;  // replayed mutate for an id already remembered
-  deployment.dedup_order.push_back(request_id);
-  while (deployment.dedup_order.size() > config_.dedup_window) {
-    deployment.dedup.erase(deployment.dedup_order.front());
-    deployment.dedup_order.pop_front();
-    deployment.dedup_complete = false;
+void LocalizationService::apply_write_locked(Deployment& deployment,
+                                             const Request& request,
+                                             std::uint64_t version,
+                                             Response& response) {
+  for (const Vec2 p : request.points) {
+    const Vec2 pos = deployment.field.bounds().clamp(p);
+    const BeaconId id = deployment.field.add(pos);
+    deployment.map.apply_addition(deployment.field,
+                                  deployment.localizer.kernel(),
+                                  *deployment.field.get(id));
+    response.positions.push_back(pos);
+    response.beacon_ids.push_back(id);
+  }
+  if (request.request_id == 0 || config_.dedup_window == 0) return;
+  deployment.dedup.record(request.request_id,
+                          {version, response.positions, response.beacon_ids});
+  while (deployment.dedup.size() > config_.dedup_window) {
+    deployment.dedup.evict_oldest();
   }
 }
 
@@ -466,7 +432,7 @@ Response LocalizationService::install_snapshot(const Request& request) {
       // have been no prior writes, so the empty index is complete; past
       // that, ids may have been folded into the snapshot and unknown-id
       // retries are ambiguous.
-      created->dedup_complete = request.version <= 1;
+      created->dedup.reset(request.version <= 1);
       deployments_.emplace(request.field, std::move(created));
       Response response;
       response.seq = request.seq;
@@ -507,9 +473,7 @@ Response LocalizationService::install_snapshot(const Request& request) {
     // The snapshot discards id history: any write folded into it is no
     // longer answerable from the index, so unknown-id retries become
     // ambiguous (same rule as the fresh-install path above).
-    deployment.dedup.clear();
-    deployment.dedup_order.clear();
-    deployment.dedup_complete = request.version <= 1;
+    deployment.dedup.reset(request.version <= 1);
   } catch (const CheckFailure& e) {
     return error_response(request, Status::kInternal, e.what());
   }

@@ -36,9 +36,10 @@ struct ServiceConfig {
   double lattice_step = 1.0;    ///< survey lattice spacing (m)
   std::uint64_t seed = 20010421;
   /// Request ids remembered per deployment for exactly-once `add-beacon`
-  /// (FIFO eviction). Mirrors the router's `--log-retain` window: a
-  /// duplicate within the window collects the original ack; a *retry*
-  /// whose id has been evicted is answered `dedup-expired`.
+  /// (oldest forgotten first; 0 remembers none). A duplicate within the
+  /// window collects the original ack; a *retry* whose id has been
+  /// forgotten is answered `dedup-expired`. The window counts ids, while
+  /// the router's `--log-retain` counts log entries, id-free ones too.
   std::size_t dedup_window = 64;
 };
 
@@ -86,10 +87,11 @@ class LocalizationService {
   /// (at or past the version), or answer the retryable mismatch (lagging).
   Response apply_mutation_locked(Deployment& deployment,
                                  const Request& request);
-  /// Remember an applied write's request id (bounded FIFO) so a duplicate
-  /// delivery re-collects the original ack instead of re-applying.
-  void record_dedup_locked(Deployment& deployment, std::uint64_t request_id,
-                           std::uint64_t version, const Response& response);
+  /// The apply `add-beacon` and `mutate` share: clamp and deploy
+  /// `request.points` into `response`, then remember that ack at `version`
+  /// under the request's id, within `dedup_window`.
+  void apply_write_locked(Deployment& deployment, const Request& request,
+                          std::uint64_t version, Response& response);
   /// Snapshot request carrying a field body: install it (replica sync).
   Response install_snapshot(const Request& request);
 

@@ -256,6 +256,20 @@ TEST(MembershipController, HandoffReplayResumesOnAJoinerWithTwoWorkers) {
             cluster.replicator->log().snapshot("default").text);
 }
 
+TEST(MembershipController, HandoffShipmentsCountOnTheJoinersBackendCounters) {
+  // The handoff ships through the same catch-up as every other path, so
+  // the joiner's own backend counters see the snapshot it was sent.
+  ClusterSim cluster({"b1", "b2"}, /*replication=*/3);
+  cluster.replicator->set_deployment("default", field_text());
+  ASSERT_EQ(cluster.replicator->sync_all(), 2u);
+
+  cluster.add_sim("b3");
+  const serve::Response response = cluster.admin("add", "b3");
+  ASSERT_EQ(response.status, serve::Status::kOk) << response.message;
+  EXPECT_EQ(cluster.metrics.handoff_snapshots(), 1u);
+  EXPECT_EQ(cluster.metrics.backend_snapshot("b3").installs, 1u);
+}
+
 TEST(MembershipController, DrainHandsOffStopsRoutingAndRemoves) {
   ClusterSim cluster({"b1", "b2", "b3"}, /*replication=*/2);
   cluster.replicator->set_deployment("default", field_text());

@@ -264,6 +264,93 @@ TEST(Replicator, SyncBackendResyncsBeyondTheRetainedWindow) {
   EXPECT_EQ(cluster.metrics.backend_snapshot("b1").replays, 0u);
 }
 
+TEST(Replicator, CatchUpRefusedByAnOpenBreakerFailsBeforeReturning) {
+  // The router's repair paths treat a false return as the failure branch:
+  // by then `done` must already have run, once, with nothing reached.
+  BackendPoolOptions pool_options;
+  pool_options.failure_threshold = 1;
+  ClusterSim cluster({"b1"}, /*replication=*/1, pool_options);
+  cluster.replicator->set_deployment("f", field_text());
+  ASSERT_EQ(cluster.replicator->sync_all(), 1u);
+  cluster.replicator->log().append("f", {{20, 20}});
+  cluster.sim("b1").dead = true;
+  BackendPool::Forward trip;
+  trip.request.endpoint = serve::Endpoint::kStats;
+  trip.on_reply = [](std::string) {};
+  trip.on_failure = [] {};
+  ASSERT_TRUE(cluster.pool->enqueue("b1", std::move(trip)));
+  ASSERT_TRUE(wait_until(
+      [&] { return cluster.pool->health("b1") == BackendHealth::kOpen; }));
+
+  // From 0 the first round is an install; from 1 it replays the suffix.
+  for (const std::uint64_t have : {0u, 1u}) {
+    int runs = 0;
+    Replicator::CatchUpResult seen;
+    seen.reached = 99;
+    const bool queued = cluster.replicator->catch_up(
+        "b1", "f", have, [&](const Replicator::CatchUpResult& result) {
+          ++runs;
+          seen = result;
+        });
+    EXPECT_FALSE(queued) << "from v" << have;
+    EXPECT_EQ(runs, 1) << "from v" << have;
+    EXPECT_EQ(seen.reached, 0u);
+    EXPECT_FALSE(seen.installed);
+    EXPECT_EQ(seen.replayed, 0u);
+  }
+  EXPECT_EQ(cluster.metrics.backend_snapshot("b1").mutations, 0u)
+      << "nothing refused is counted as shipped";
+}
+
+TEST(Replicator, CatchUpFromVersionZeroInstallsEvenWithTheSuffixRetained) {
+  ClusterSim cluster({"b1"}, /*replication=*/1);
+  cluster.replicator->set_deployment("f", field_text());
+  ASSERT_EQ(cluster.replicator->sync_all(), 1u);
+  cluster.replicator->log().append("f", {{20, 20}});
+  cluster.replicator->log().append("f", {{5, 50}});
+  ASSERT_TRUE(cluster.replicator->log().suffix("f", 1).has_value())
+      << "the backend's own lag is replayable";
+
+  const Replicator::CatchUpResult result =
+      cluster.replicator->catch_up_blocking("b1", "f", 0);
+  EXPECT_TRUE(result.installed);
+  EXPECT_EQ(result.replayed, 0u);
+  EXPECT_EQ(result.reached, 3u);
+  EXPECT_EQ(cluster.sim("b1").service.field_version("f"), 3u);
+  EXPECT_EQ(cluster.metrics.backend_snapshot("b1").installs, 2u);
+  EXPECT_EQ(cluster.metrics.backend_snapshot("b1").replays, 0u);
+}
+
+TEST(Replicator, CatchUpReplayReportsReplayedAndTheVersionReached) {
+  ClusterSim cluster({"b1"}, /*replication=*/1);
+  cluster.replicator->set_deployment("f", field_text());
+  ASSERT_EQ(cluster.replicator->sync_all(), 1u);
+  for (int i = 0; i < 3; ++i) {
+    cluster.replicator->log().append("f", {{5.0 + 9.0 * i, 40.0}});
+  }
+
+  const Replicator::CatchUpResult result =
+      cluster.replicator->catch_up_blocking("b1", "f", 1);
+  EXPECT_FALSE(result.installed);
+  EXPECT_EQ(result.replayed, 3u);
+  EXPECT_EQ(result.reached, 4u);
+  EXPECT_EQ(cluster.sim("b1").service.field_version("f"), 4u);
+  const serve::BackendSnapshot counters =
+      cluster.metrics.backend_snapshot("b1");
+  EXPECT_EQ(counters.installs, 1u) << "only the startup sync installed";
+  EXPECT_EQ(counters.mutations, 3u);
+  EXPECT_EQ(counters.mutation_acks, 3u);
+  EXPECT_EQ(counters.replays, 3u);
+
+  // A current backend is reported where it is, and nothing is shipped.
+  const Replicator::CatchUpResult current =
+      cluster.replicator->catch_up_blocking("b1", "f", 4);
+  EXPECT_EQ(current.reached, 4u);
+  EXPECT_FALSE(current.installed);
+  EXPECT_EQ(current.replayed, 0u);
+  EXPECT_EQ(cluster.metrics.backend_snapshot("b1").mutations, 3u);
+}
+
 TEST(Replicator, ListTextEnumeratesDeployments) {
   ClusterSim cluster({"b1"});
   cluster.replicator->set_deployment("alpha", field_text());
