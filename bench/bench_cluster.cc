@@ -473,7 +473,7 @@ int main(int argc, char** argv) {
                    abp::TextTable::fmt(r.latency_us.p50() / 1e3, 2),
                    abp::TextTable::fmt(r.latency_us.p99() / 1e3, 2),
                    std::to_string(r.non_ok),
-                   std::to_string(cluster.metrics.forwarded_total())});
+                   std::to_string(cluster.metrics.counts().forwarded)});
     json << "    {\"backends\": " << backends
          << ", \"goodput_qps\": " << goodput
          << ", \"p50_ms\": " << r.latency_us.p50() / 1e3
@@ -590,18 +590,19 @@ int main(int argc, char** argv) {
                    });
     const auto goodput = static_cast<std::uint64_t>(
         static_cast<double>(r.ok) / r.elapsed_s);
+    const abp::serve::RouterCounts counts = cluster.metrics.counts();
     abp::TextTable mix({"goodput q/s", "p50 ms", "p99 ms", "non-ok", "writes",
                         "write-acks", "quorum-failures"});
     mix.add_row({std::to_string(goodput),
                  abp::TextTable::fmt(r.latency_us.p50() / 1e3, 2),
                  abp::TextTable::fmt(r.latency_us.p99() / 1e3, 2),
                  std::to_string(r.non_ok),
-                 std::to_string(cluster.metrics.writes()),
-                 std::to_string(cluster.metrics.write_acks()),
-                 std::to_string(cluster.metrics.write_quorum_failures())});
+                 std::to_string(counts.writes),
+                 std::to_string(counts.write_acks),
+                 std::to_string(counts.write_quorum_failures)});
     mix.print(std::cout);
     check_load(cluster, r, "write mix");
-    if (cluster.metrics.write_acks() == 0) {
+    if (counts.write_acks == 0) {
       healthy = false;
       std::cout << "NO WRITES ACKED in the write-mix section\n";
     }
@@ -613,10 +614,10 @@ int main(int argc, char** argv) {
          << ", \"p50_ms\": " << r.latency_us.p50() / 1e3
          << ", \"p99_ms\": " << r.latency_us.p99() / 1e3
          << ", \"non_ok\": " << r.non_ok
-         << ", \"writes\": " << cluster.metrics.writes()
-         << ", \"write_acks\": " << cluster.metrics.write_acks()
-         << ", \"quorum_failures\": "
-         << cluster.metrics.write_quorum_failures() << "},\n";
+         << ", \"writes\": " << counts.writes
+         << ", \"write_acks\": " << counts.write_acks
+         << ", \"quorum_failures\": " << counts.write_quorum_failures
+         << "},\n";
   }
 
   // ---- replay-recovery curve (mixed load, kill + revive) ---------------
@@ -699,9 +700,10 @@ int main(int argc, char** argv) {
       }
     }
     const auto snapshot = cluster.metrics.backend_snapshot(victim);
-    std::cout << "\nwrites " << cluster.metrics.writes() << " acked "
-              << cluster.metrics.write_acks() << " quorum-failures "
-              << cluster.metrics.write_quorum_failures() << "; victim caught"
+    const abp::serve::RouterCounts counts = cluster.metrics.counts();
+    std::cout << "\nwrites " << counts.writes << " acked "
+              << counts.write_acks << " quorum-failures "
+              << counts.write_quorum_failures << "; victim caught"
               << " up via " << snapshot.replays << " replay(s) + "
               << (snapshot.installs > deployments ? snapshot.installs -
                       deployments : 0)
@@ -714,9 +716,9 @@ int main(int argc, char** argv) {
     json << "  \"replay_recovery\": {\"bucket_ms\": " << bucket_ms
          << ", \"kill_at_ms\": " << kill_at_s * 1e3
          << ", \"revive_at_ms\": " << revive_at_s * 1e3
-         << ", \"writes\": " << cluster.metrics.writes()
-         << ", \"write_acks\": " << cluster.metrics.write_acks()
-         << ", \"quorum_failures\": " << cluster.metrics.write_quorum_failures()
+         << ", \"writes\": " << counts.writes
+         << ", \"write_acks\": " << counts.write_acks
+         << ", \"quorum_failures\": " << counts.write_quorum_failures
          << ", \"victim_replays\": " << snapshot.replays
          << ", \"victim_installs\": " << snapshot.installs
          << ", \"converged\": " << (converged ? "true" : "false")
@@ -857,14 +859,15 @@ int main(int argc, char** argv) {
     }
     const auto goodput = static_cast<std::uint64_t>(
         static_cast<double>(r.ok) / r.elapsed_s);
+    const abp::serve::RouterCounts counts = cluster.metrics.counts();
     std::cout << "\ngoodput " << goodput << " q/s p50 "
               << abp::TextTable::fmt(r.latency_us.p50() / 1e3, 2) << " ms p99 "
               << abp::TextTable::fmt(r.latency_us.p99() / 1e3, 2)
               << " ms; non-ok " << r.non_ok << " (non-retryable "
               << r.non_retryable << "); epoch "
               << cluster.membership->epoch() << ", handoff snapshots "
-              << cluster.metrics.handoff_snapshots() << ", replays "
-              << cluster.metrics.handoff_replays() << "\n"
+              << counts.handoff_snapshots << ", replays "
+              << counts.handoff_replays << "\n"
               << "Reading: the joiner absorbs its transfer set before the"
                  " fenced epoch flip, so goodput holds through scale-up; the"
                  " drain stops new routing first and hands ranges back, so"
@@ -878,8 +881,8 @@ int main(int argc, char** argv) {
          << ", \"non_ok\": " << r.non_ok
          << ", \"non_retryable\": " << r.non_retryable
          << ", \"epoch\": " << cluster.membership->epoch()
-         << ", \"handoff_snapshots\": " << cluster.metrics.handoff_snapshots()
-         << ", \"handoff_replays\": " << cluster.metrics.handoff_replays()
+         << ", \"handoff_snapshots\": " << counts.handoff_snapshots
+         << ", \"handoff_replays\": " << counts.handoff_replays
          << ", \"converged\": " << (converged ? "true" : "false")
          << ", \"ok_buckets\": ";
     json_buckets(json, r.ok_buckets);
@@ -1055,10 +1058,10 @@ int main(int argc, char** argv) {
           healthy = false;
           std::cout << "QUOTA NEVER ENGAGED: noisy tenant was never shed\n";
         }
-        if (cluster.metrics.principal_quota_sheds(1) != stats[0].shed) {
+        if (cluster.metrics.principal(1).shed_quota != stats[0].shed) {
           healthy = false;
           std::cout << "QUOTA LEDGER MISMATCH: router counted "
-                    << cluster.metrics.principal_quota_sheds(1)
+                    << cluster.metrics.principal(1).shed_quota
                     << " sheds, clients saw " << stats[0].shed << "\n";
         }
       }

@@ -82,12 +82,12 @@ void BM_ServeThroughput(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(kWindow));
-  state.counters["batches"] = static_cast<double>(server.batches_executed());
+  const ServiceCounts counts = service.metrics().counts();
+  state.counters["batches"] = static_cast<double>(counts.batches);
   state.counters["reqs_per_batch"] =
-      server.batches_executed() == 0
-          ? 0.0
-          : static_cast<double>(server.requests_served()) /
-                static_cast<double>(server.batches_executed());
+      counts.batches == 0 ? 0.0
+                          : static_cast<double>(counts.coalesced) /
+                                static_cast<double>(counts.batches);
 }
 
 // The grid the issue asks for: batch size 1, 8, 64 × workers 1, 4 — plus

@@ -1,23 +1,13 @@
 #include "cluster/backend_pool.h"
 
-#include <chrono>
 #include <optional>
 #include <utility>
 
 #include "common/assert.h"
+#include "common/stopwatch.h"
 #include "serve/tcp_transport.h"
 
 namespace abp::cluster {
-
-namespace {
-
-double steady_now_ms() {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-}  // namespace
 
 const char* backend_health_name(BackendHealth health) {
   switch (health) {
@@ -303,7 +293,7 @@ void BackendPool::record_failure_locked(Backend& backend,
   } else if (backend.health == BackendHealth::kClosed &&
              backend.consecutive_failures >= options_.failure_threshold) {
     backend.health = BackendHealth::kOpen;
-    metrics_->record_marked_down(backend.name);
+    metrics_->add(backend.name, &serve::BackendSnapshot::marked_down);
     // In-flight work already failed via its own callbacks; everything still
     // queued is answered now, as retryable, instead of waiting for a
     // backend that is gone.
@@ -325,14 +315,17 @@ bool BackendPool::run_probe(Backend& backend) {
   } catch (const serve::ServeError&) {
     backend.transport.reset();
   }
-  metrics_->record_probe(backend.name, ok);
+  metrics_->add(backend.name, &serve::BackendSnapshot::probes);
+  if (!ok) metrics_->add(backend.name, &serve::BackendSnapshot::probe_failures);
   bool recovered = false;
   {
     std::unique_lock<std::mutex> lock(backend.mu);
     if (ok) {
       recovered = backend.health != BackendHealth::kClosed;
       record_success_locked(backend);
-      if (recovered) metrics_->record_recovered(backend.name);
+      if (recovered) {
+        metrics_->add(backend.name, &serve::BackendSnapshot::recovered);
+      }
     } else {
       record_failure_locked(backend, lock);
     }
@@ -371,7 +364,7 @@ bool BackendPool::run_batch(Backend& backend, std::vector<Forward> batch) {
     backend.transport.reset();
   }
   if (!transport_ok) {
-    metrics_->record_transport_failure(backend.name);
+    metrics_->add(backend.name, &serve::BackendSnapshot::transport_failures);
     for (std::size_t i = 0; i < batch.size(); ++i) {
       if (!done[i] && batch[i].on_failure) batch[i].on_failure();
     }

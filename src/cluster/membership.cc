@@ -6,19 +6,10 @@
 
 #include "cluster/backend_pool.h"
 #include "cluster/replicator.h"
+#include "common/stopwatch.h"
 #include "serve/metrics.h"
 
 namespace abp::cluster {
-
-namespace {
-
-double steady_now_ms() {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-}  // namespace
 
 const char* member_state_name(MemberState state) {
   switch (state) {
@@ -191,9 +182,9 @@ std::uint64_t MembershipController::ship(const std::string& backend,
       replicator_->catch_up_blocking(backend, name, have_version);
   if (result.reached == 0) return 0;
   if (result.installed) {
-    metrics_->record_handoff_snapshot();
+    metrics_->add(&serve::RouterCounts::handoff_snapshots);
   } else if (result.replayed != 0) {
-    metrics_->record_handoff_replay();
+    metrics_->add(&serve::RouterCounts::handoff_replays);
   }
   return result.reached;
 }
@@ -389,10 +380,10 @@ AdminResult MembershipController::status() const {
     text += "member " + name + ' ' + member_state_name(state) + ' ' +
             backend_health_name(pool_->health(name)) + '\n';
   }
-  text += "handoff-snapshots " +
-          std::to_string(metrics_->handoff_snapshots()) + '\n';
-  text += "handoff-replays " +
-          std::to_string(metrics_->handoff_replays()) + '\n';
+  const serve::RouterCounts counts = metrics_->counts();
+  text += "handoff-snapshots " + std::to_string(counts.handoff_snapshots) +
+          '\n';
+  text += "handoff-replays " + std::to_string(counts.handoff_replays) + '\n';
   return AdminResult::success(std::move(text));
 }
 

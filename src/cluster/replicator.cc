@@ -215,7 +215,9 @@ bool Replicator::start_round(const std::shared_ptr<CatchUp>& state,
     };
     forward.on_failure = [this, state] { settle(state, 1, nullptr); };
     if (!pool_->enqueue(state->backend, std::move(forward))) break;
-    if (entries) metrics_->record_mutation(state->backend);
+    if (entries) {
+      metrics_->add(state->backend, &serve::BackendSnapshot::mutations);
+    }
     ++queued;
   }
   if (queued == requests.size()) return true;
@@ -238,11 +240,11 @@ void Replicator::settle(const std::shared_ptr<CatchUp>& state,
     }
     if (ok && state->install) {
       state->result.installed = true;
-      metrics_->record_install(state->backend);
+      metrics_->add(state->backend, &serve::BackendSnapshot::installs);
     } else if (ok) {
       ++state->result.replayed;
-      metrics_->record_mutation_ack(state->backend);
-      metrics_->record_replay(state->backend);
+      metrics_->add(state->backend, &serve::BackendSnapshot::mutation_acks);
+      metrics_->add(state->backend, &serve::BackendSnapshot::replays);
     }
     state->pending -= slots;
     if (state->pending != 0) return;

@@ -1,19 +1,16 @@
 #include "cluster/router.h"
 
 #include <algorithm>
-#include <chrono>
 #include <optional>
 #include <utility>
 
+#include "common/stopwatch.h"
+
 namespace abp::cluster {
 
-namespace {
+using serve::RouterCounts;
 
-double steady_now_ms() {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
+namespace {
 
 std::string rejection_payload(std::uint64_t seq, serve::Status status,
                               const std::string& message,
@@ -24,6 +21,12 @@ std::string rejection_payload(std::uint64_t seq, serve::Status status,
   response.message = message;
   response.retry_after_ms = retry_after_ms;
   return serve::format_response(response);
+}
+
+/// A backend reply counts as `ok` or as an error by its status.
+std::uint64_t serve::BackendSnapshot::*result_cell(serve::Status status) {
+  return status == serve::Status::kOk ? &serve::BackendSnapshot::ok
+                                      : &serve::BackendSnapshot::errors;
 }
 
 /// The client's `add-beacon` ack, synthesized from the logged apply: the
@@ -80,15 +83,14 @@ double Router::now_ms() const {
   return options_.clock_ms ? options_.clock_ms() : steady_now_ms();
 }
 
-void Router::record_bad_frame(std::size_t bytes_in) {
-  (void)bytes_in;
+void Router::record_bad_frame(std::size_t /*bytes_in*/) {
   metrics_->record_received();
-  metrics_->record_local();
+  metrics_->add(&RouterCounts::local);
 }
 
 void Router::answer_local(std::uint64_t seq, std::string text,
                           const std::function<void(std::string)>& reply) {
-  metrics_->record_local();
+  metrics_->add(&RouterCounts::local);
   serve::Response response;
   response.seq = seq;
   response.status = serve::Status::kOk;
@@ -102,8 +104,7 @@ void Router::submit(std::string payload,
   std::optional<serve::Request> request =
       serve::parse_request(payload, &parse_error);
   if (!request) {
-    metrics_->record_received();
-    metrics_->record_local();
+    record_bad_frame(payload.size());
     reply(rejection_payload(0, serve::Status::kBadRequest, parse_error));
     return;
   }
@@ -126,7 +127,7 @@ void Router::submit(std::string payload,
   if (traits.internal_only) {
     // Mutations are minted by the router's own log; accepting one from a
     // client would fork a replica's version history.
-    metrics_->record_local();
+    metrics_->add(&RouterCounts::local);
     reply(rejection_payload(request->seq, serve::Status::kBadRequest,
                             "mutations are managed by the router"));
     return;
@@ -137,7 +138,7 @@ void Router::submit(std::string payload,
     // would mutate a single backend behind the replicator's back and
     // desynchronize the version registry. (Snapshot *fetches* route
     // normally.)
-    metrics_->record_local();
+    metrics_->add(&RouterCounts::local);
     reply(rejection_payload(request->seq, serve::Status::kBadRequest,
                             "snapshot installs are managed by the router"));
     return;
@@ -147,7 +148,7 @@ void Router::submit(std::string payload,
         quotas_->admit(request->principal, now_ms());
     if (!decision.admitted) {
       metrics_->record_quota_shed(request->principal);
-      metrics_->record_local();
+      metrics_->add(&RouterCounts::local);
       reply(rejection_payload(
           request->seq, serve::Status::kOverloaded,
           "quota exceeded for principal " +
@@ -157,8 +158,8 @@ void Router::submit(std::string payload,
     }
   }
   if (replicator_->version(request->field) == 0) {
-    metrics_->record_filter_reject();
-    metrics_->record_local();
+    metrics_->add(&RouterCounts::filter_rejects);
+    metrics_->add(&RouterCounts::local);
     reply(rejection_payload(request->seq, serve::Status::kNotFound,
                             "unknown deployment '" + request->field + "'"));
     return;
@@ -180,13 +181,13 @@ void Router::submit(std::string payload,
             state->request.field, state->cache_version, state->cache_key)) {
       // Cached responses store seq 0; re-stamp the requester's seq so the
       // bytes match an uncached forward of this exact request.
-      metrics_->record_cache_hit();
-      metrics_->record_local();
+      metrics_->add(&RouterCounts::cache_hits);
+      metrics_->add(&RouterCounts::local);
       hit->seq = state->request.seq;
       reply(serve::format_response_capped(*hit));
       return;
     }
-    metrics_->record_cache_miss();
+    metrics_->add(&RouterCounts::cache_misses);
     state->cache_store = true;
   }
   state->owners = replicator_->owners(state->request.field);
@@ -196,7 +197,7 @@ void Router::submit(std::string payload,
 
 void Router::handle_admin(const serve::Request& request,
                           const std::function<void(std::string)>& reply) {
-  metrics_->record_local();
+  metrics_->add(&RouterCounts::local);
   if (!options_.admin) {
     reply(rejection_payload(request.seq, serve::Status::kBadRequest,
                             "admin endpoint disabled on this router"));
@@ -242,15 +243,16 @@ void Router::answer_admin(std::uint64_t seq, AdminResult result,
 void Router::shed_overloaded(std::string payload,
                              std::function<void(std::string)> reply,
                              const std::string& why) {
-  metrics_->record_received();
-  metrics_->record_local();
   std::string parse_error;
   const std::optional<serve::Request> request =
       serve::parse_request(payload, &parse_error);
   if (!request) {
+    record_bad_frame(payload.size());
     reply(rejection_payload(0, serve::Status::kBadRequest, parse_error));
     return;
   }
+  metrics_->record_received(request->principal);
+  metrics_->add(&RouterCounts::local);
   reply(rejection_payload(request->seq, serve::Status::kOverloaded, why,
                           options_.retry_after_hint_ms));
 }
@@ -268,14 +270,14 @@ void Router::route(std::shared_ptr<CallState> state, bool is_retry) {
     };
     if (pool_->enqueue(backend, std::move(forward))) {
       metrics_->record_forward(backend);
-      if (is_retry) metrics_->record_retry(backend);
+      if (is_retry) metrics_->add(backend, &serve::BackendSnapshot::retries);
       return;
     }
     // Breaker refused — the request never left the router, so moving on is
     // safe even for non-idempotent endpoints.
     ++state->next_owner;
   }
-  metrics_->record_unrouted();
+  metrics_->add(&RouterCounts::unrouted);
   finish_unavailable(state, "no live replica for deployment '" +
                                 state->request.field + "'");
 }
@@ -303,11 +305,11 @@ void Router::handle_reply(const std::shared_ptr<CallState>& state,
   }
   switch (response->status) {
     case serve::Status::kVersionMismatch: {
-      metrics_->record_version_mismatch(backend);
+      metrics_->add(backend, &serve::BackendSnapshot::version_mismatches);
       if (state->repaired) {
         // Repair already spent: hand the (retryable) status to the client
         // rather than loop.
-        metrics_->record_result(backend, response->status);
+        metrics_->add(backend, result_cell(response->status));
         deliver(state, backend, std::move(*response));
         return;
       }
@@ -337,7 +339,7 @@ void Router::handle_reply(const std::shared_ptr<CallState>& state,
     case serve::Status::kUnavailable:
       // The backend is draining or shutting down — same recovery as a
       // transport failure.
-      metrics_->record_result(backend, response->status);
+      metrics_->add(backend, result_cell(response->status));
       if (serve::endpoint_traits(state->request.endpoint).idempotent &&
           state->next_owner + 1 < state->owners.size()) {
         ++state->next_owner;
@@ -347,7 +349,7 @@ void Router::handle_reply(const std::shared_ptr<CallState>& state,
       deliver(state, backend, std::move(*response));
       return;
     default:
-      metrics_->record_result(backend, response->status);
+      metrics_->add(backend, result_cell(response->status));
       deliver(state, backend, std::move(*response));
       return;
   }
@@ -433,7 +435,7 @@ void Router::route_write(serve::Request request,
     // retry's job is to finish that write, not to mint a new one: it
     // re-fans the logged entry out below (same version — replicas that
     // took it already ack idempotently) and answers at quorum.
-    metrics_->record_write_dedup_hit();
+    metrics_->add(&RouterCounts::write_dedup_hits);
     if (hit.acked) {
       reply(ack_payload(request.seq, hit));
       return;
@@ -443,7 +445,7 @@ void Router::route_write(serve::Request request,
     // the first delivery may have appended and aged out, so appending
     // again risks the duplicate this whole path exists to prevent.
     // Terminal by design — see DESIGN.md §11.
-    metrics_->record_write_dedup_expired();
+    metrics_->add(&RouterCounts::write_dedup_expired);
     reply(rejection_payload(request.seq, serve::Status::kDedupExpired,
                             serve::DedupIndex::expired_message(request.field)));
     return;
@@ -453,7 +455,7 @@ void Router::route_write(serve::Request request,
   // retry cannot duplicate anything. (Races with breaker transitions fall
   // through to the post-append quorum accounting below.)
   if (live < quorum) {
-    metrics_->record_unrouted();
+    metrics_->add(&RouterCounts::unrouted);
     reply(rejection_payload(
         request.seq, serve::Status::kUnavailable,
         "write quorum of " + std::to_string(quorum) + " unreachable for '" +
@@ -464,7 +466,7 @@ void Router::route_write(serve::Request request,
   const serve::WriteAck logged =
       duplicate ? std::move(hit)
                 : log.append(request.field, request.points, request_id);
-  if (!duplicate) metrics_->record_write();
+  if (!duplicate) metrics_->add(&RouterCounts::writes);
   auto state = std::make_shared<WriteState>();
   state->quorum = quorum;
   state->targets = owners.size();
@@ -492,7 +494,7 @@ void Router::send_mutation(const std::shared_ptr<WriteState>& state,
     write_failure(state, backend);
   };
   if (pool_->enqueue(backend, std::move(forward))) {
-    metrics_->record_mutation(backend);
+    metrics_->add(backend, &serve::BackendSnapshot::mutations);
   } else {
     write_failure(state, backend);
   }
@@ -512,7 +514,7 @@ void Router::handle_mutation_reply(const std::shared_ptr<WriteState>& state,
     return;
   }
   if (response->status == serve::Status::kVersionMismatch) {
-    metrics_->record_version_mismatch(backend);
+    metrics_->add(backend, &serve::BackendSnapshot::version_mismatches);
     bool first_repair = false;
     {
       std::lock_guard<std::mutex> lock(state->mu);
@@ -534,7 +536,7 @@ void Router::handle_mutation_reply(const std::shared_ptr<WriteState>& state,
 
 void Router::write_ack(const std::shared_ptr<WriteState>& state,
                        const std::string& backend) {
-  metrics_->record_mutation_ack(backend);
+  metrics_->add(backend, &serve::BackendSnapshot::mutation_acks);
   bool reached_quorum = false;
   bool fire = false;
   {
@@ -561,7 +563,7 @@ void Router::write_ack(const std::shared_ptr<WriteState>& state,
       metrics_->record_cache_invalidation(
           cache_->invalidate(state->mutate.field));
     }
-    metrics_->record_write_ack();
+    metrics_->add(&RouterCounts::write_acks);
   }
   if (fire) state->reply(state->ok_payload);
 }
@@ -582,7 +584,7 @@ void Router::write_failure(const std::shared_ptr<WriteState>& state,
     }
   }
   if (fire) {
-    metrics_->record_write_quorum_failure();
+    metrics_->add(&RouterCounts::write_quorum_failures);
     state->reply(rejection_payload(
         state->mutate.seq, serve::Status::kUnavailable,
         "write quorum lost for deployment '" + state->mutate.field +

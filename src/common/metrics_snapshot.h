@@ -15,8 +15,10 @@
 ///     principal.7.shed-quota 3
 ///
 /// Counters render as integers, gauges (latency percentiles) with one
-/// decimal. Consumers read values back by name (`count`/`value`), so a new
-/// counter is added in exactly one place and every scraper sees it.
+/// decimal. A server or router counter is one field of a counts struct
+/// plus one `{name, &Struct::field}` row in that struct's table
+/// (serve/metrics.{h,cc}); consumers read values back by name
+/// (`count`/`value`), so every scraper sees a new counter unchanged.
 #pragma once
 
 #include <cstdint>

@@ -1,10 +1,20 @@
 /// \file stopwatch.h
-/// \brief Monotonic wall-clock stopwatch for coarse progress reporting.
+/// \brief Monotonic wall-clock stopwatch for coarse progress reporting, and
+/// the steady-clock reading behind every injectable `clock_ms`.
 #pragma once
 
 #include <chrono>
 
 namespace abp {
+
+/// Milliseconds on the steady clock: the default of every component whose
+/// clock tests inject (server deadlines, quotas, retry budgets, breaker
+/// cadence, drain timeouts).
+inline double steady_now_ms() {
+  return std::chrono::duration<double, std::milli>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
 
 class Stopwatch {
  public:

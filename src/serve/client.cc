@@ -10,17 +10,12 @@
 #include <utility>
 
 #include "common/assert.h"
+#include "common/stopwatch.h"
 #include "rng/hash.h"
 
 namespace abp::serve {
 
 namespace {
-
-double steady_now_ms() {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 class BorrowedTransport final : public ClientTransport {
  public:

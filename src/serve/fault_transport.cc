@@ -92,7 +92,7 @@ std::string FaultTransport::deliver(std::string frame, double stall_ms) {
   decoder.feed(frame);
   std::optional<std::string> payload = decoder.next();
   if (!payload) {
-    server_->service().metrics().record_bad_frame(frame.size());
+    server_->record_bad_frame(frame.size());
     Response response;
     response.status = Status::kBadRequest;
     response.message = decoder.corrupt() ? decoder.error() : "truncated frame";

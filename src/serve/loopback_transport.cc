@@ -11,7 +11,7 @@ std::string LoopbackTransport::roundtrip_frame(const std::string& frame) {
   decoder.feed(frame);
   std::optional<std::string> payload = decoder.next();
   if (!payload) {
-    server_->service().metrics().record_bad_frame(frame.size());
+    server_->record_bad_frame(frame.size());
     Response response;
     response.status = Status::kBadRequest;
     response.message = decoder.corrupt() ? decoder.error() : "truncated frame";

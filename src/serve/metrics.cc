@@ -1,10 +1,107 @@
 #include "serve/metrics.h"
 
-#include <ostream>
-
 namespace abp::serve {
 
 namespace {
+
+/// One counter's stats name and its cell in a counts struct.
+template <typename Counts>
+struct Row {
+  const char* name;
+  std::uint64_t Counts::*cell;
+};
+
+// Each table lists its struct's counters in render order.
+
+constexpr Row<EndpointCounts> kEndpointRows[] = {
+    {"requests", &EndpointCounts::requests},
+    {"errors", &EndpointCounts::errors},
+    {"bytes-in", &EndpointCounts::bytes_in},
+    {"bytes-out", &EndpointCounts::bytes_out},
+};
+
+constexpr Row<ServiceCounts> kServiceRows[] = {
+    {"total.requests", &ServiceCounts::requests},
+    {"total.errors", &ServiceCounts::errors},
+    {"total.bad-frames", &ServiceCounts::bad_frames},
+    {"total.batches", &ServiceCounts::batches},
+    {"total.coalesced", &ServiceCounts::coalesced},
+    {"admission.submitted", &ServiceCounts::submitted},
+    {"admission.completed", &ServiceCounts::completed},
+    {"admission.shed-overloaded", &ServiceCounts::shed_overloaded},
+    {"admission.shed-unavailable", &ServiceCounts::shed_unavailable},
+    {"admission.shed-deadline", &ServiceCounts::shed_deadline},
+    {"admission.shed-quota", &ServiceCounts::shed_quota},
+};
+
+constexpr Row<PrincipalCounts> kServicePrincipalRows[] = {
+    {"submitted", &PrincipalCounts::requests},
+    {"shed-quota", &PrincipalCounts::shed_quota},
+};
+
+constexpr Row<BackendSnapshot> kBackendRows[] = {
+    {"forwarded", &BackendSnapshot::forwarded},
+    {"ok", &BackendSnapshot::ok},
+    {"errors", &BackendSnapshot::errors},
+    {"transport-failures", &BackendSnapshot::transport_failures},
+    {"retries", &BackendSnapshot::retries},
+    {"version-mismatches", &BackendSnapshot::version_mismatches},
+    {"installs", &BackendSnapshot::installs},
+    {"mutations", &BackendSnapshot::mutations},
+    {"mutation-acks", &BackendSnapshot::mutation_acks},
+    {"replays", &BackendSnapshot::replays},
+    {"probes", &BackendSnapshot::probes},
+    {"probe-failures", &BackendSnapshot::probe_failures},
+    {"marked-down", &BackendSnapshot::marked_down},
+    {"recovered", &BackendSnapshot::recovered},
+};
+
+constexpr Row<RouterCounts> kRouterRows[] = {
+    {"router.received", &RouterCounts::received},
+    {"router.local", &RouterCounts::local},
+    {"router.forwarded", &RouterCounts::forwarded},
+    {"router.unrouted", &RouterCounts::unrouted},
+    {"router.filter-rejects", &RouterCounts::filter_rejects},
+    {"writes.submitted", &RouterCounts::writes},
+    {"writes.acked", &RouterCounts::write_acks},
+    {"writes.quorum-failures", &RouterCounts::write_quorum_failures},
+    {"writes.dedup-hits", &RouterCounts::write_dedup_hits},
+    {"writes.dedup-expired", &RouterCounts::write_dedup_expired},
+    {"cache.hits", &RouterCounts::cache_hits},
+    {"cache.misses", &RouterCounts::cache_misses},
+    {"cache.invalidations", &RouterCounts::cache_invalidations},
+    {"cache.entries-invalidated", &RouterCounts::cache_entries_invalidated},
+    {"quota.sheds", &RouterCounts::quota_sheds},
+    {"membership.epoch", &RouterCounts::membership_epoch},
+    {"membership.active", &RouterCounts::membership_active},
+    {"membership.joining", &RouterCounts::membership_joining},
+    {"membership.draining", &RouterCounts::membership_draining},
+    {"handoff.snapshots", &RouterCounts::handoff_snapshots},
+    {"handoff.replays", &RouterCounts::handoff_replays},
+};
+
+constexpr Row<PrincipalCounts> kRouterPrincipalRows[] = {
+    {"received", &PrincipalCounts::requests},
+    {"shed-quota", &PrincipalCounts::shed_quota},
+};
+
+/// Append one struct's counters to `snap`, each name behind `prefix`.
+template <typename Counts, std::size_t N>
+void put(MetricsSnapshot& snap, const std::string& prefix,
+         const Counts& counts, const Row<Counts> (&rows)[N]) {
+  for (const Row<Counts>& row : rows) {
+    snap.set_count(prefix + row.name, counts.*row.cell);
+  }
+}
+
+template <std::size_t N>
+void put_principals(MetricsSnapshot& snap,
+                    const std::map<std::uint64_t, PrincipalCounts>& principals,
+                    const Row<PrincipalCounts> (&rows)[N]) {
+  for (const auto& [id, counts] : principals) {
+    put(snap, "principal." + std::to_string(id) + '.', counts, rows);
+  }
+}
 
 std::size_t endpoint_slot(Endpoint endpoint) {
   for (std::size_t i = 0; i < std::size(kAllEndpoints); ++i) {
@@ -13,70 +110,82 @@ std::size_t endpoint_slot(Endpoint endpoint) {
   return 0;
 }
 
+/// The admission cell a shed `cause` counts in; null for any other status.
+std::uint64_t ServiceCounts::*shed_cell(Status cause) {
+  switch (cause) {
+    case Status::kOverloaded: return &ServiceCounts::shed_overloaded;
+    case Status::kUnavailable: return &ServiceCounts::shed_unavailable;
+    case Status::kDeadlineExceeded: return &ServiceCounts::shed_deadline;
+    default: return nullptr;
+  }
+}
+
 }  // namespace
 
-ServiceMetrics::ServiceMetrics() = default;
+void ServiceMetrics::add(std::uint64_t ServiceCounts::*counter,
+                         std::uint64_t n) {
+  std::lock_guard<std::mutex> lock(mu_);
+  counts_.*counter += n;
+}
 
 void ServiceMetrics::record(Endpoint endpoint, Status status,
                             std::size_t bytes_in, std::size_t bytes_out,
                             double latency_us) {
   std::lock_guard<std::mutex> lock(mu_);
   PerEndpoint& pe = per_endpoint_[endpoint_slot(endpoint)];
-  ++pe.requests;
-  if (status != Status::kOk) ++pe.errors;
-  pe.bytes_in += bytes_in;
-  pe.bytes_out += bytes_out;
+  ++pe.counts.requests;
+  ++counts_.requests;
+  if (status != Status::kOk) {
+    ++pe.counts.errors;
+    ++counts_.errors;
+  }
+  pe.counts.bytes_in += bytes_in;
+  pe.counts.bytes_out += bytes_out;
   pe.latency_us.add(latency_us);
 }
 
-void ServiceMetrics::record_bad_frame(std::size_t bytes_in) {
+void ServiceMetrics::record_batch(std::size_t n) {
   std::lock_guard<std::mutex> lock(mu_);
-  ++bad_frames_;
-  bad_frame_bytes_ += bytes_in;
-}
-
-void ServiceMetrics::record_batch(std::size_t coalesced) {
-  std::lock_guard<std::mutex> lock(mu_);
-  ++batches_;
-  coalesced_ += coalesced;
+  ++counts_.batches;
+  counts_.coalesced += n;
+  counts_.completed += n;
 }
 
 void ServiceMetrics::record_submitted(std::uint64_t principal) {
   std::lock_guard<std::mutex> lock(mu_);
-  ++submitted_;
-  ++principals_[principal].first;
-}
-
-void ServiceMetrics::record_completed(std::size_t n) {
-  std::lock_guard<std::mutex> lock(mu_);
-  completed_ += n;
+  ++counts_.submitted;
+  ++principals_[principal].requests;
 }
 
 void ServiceMetrics::record_shed(Status cause) {
-  std::lock_guard<std::mutex> lock(mu_);
-  switch (cause) {
-    case Status::kOverloaded: ++shed_overloaded_; break;
-    case Status::kUnavailable: ++shed_unavailable_; break;
-    case Status::kDeadlineExceeded: ++shed_deadline_; break;
-    default: ++shed_unavailable_; break;  // unreachable by contract
-  }
+  std::uint64_t ServiceCounts::*cell = shed_cell(cause);
+  // Unreachable by contract; counted rather than dropped.
+  add(cell ? cell : &ServiceCounts::shed_unavailable);
 }
 
 void ServiceMetrics::record_quota_shed(std::uint64_t principal) {
   std::lock_guard<std::mutex> lock(mu_);
-  ++shed_overloaded_;  // quota sheds answer `overloaded`
-  ++shed_quota_;
-  ++principals_[principal].second;
+  ++counts_.shed_overloaded;  // quota sheds answer `overloaded`
+  ++counts_.shed_quota;
+  ++principals_[principal].shed_quota;
+}
+
+ServiceCounts ServiceMetrics::counts() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return counts_;
+}
+
+PrincipalCounts ServiceMetrics::principal(std::uint64_t id) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  const auto it = principals_.find(id);
+  return it == principals_.end() ? PrincipalCounts{} : it->second;
 }
 
 EndpointSnapshot ServiceMetrics::endpoint_snapshot(Endpoint endpoint) const {
   std::lock_guard<std::mutex> lock(mu_);
   const PerEndpoint& pe = per_endpoint_[endpoint_slot(endpoint)];
   EndpointSnapshot snap;
-  snap.requests = pe.requests;
-  snap.errors = pe.errors;
-  snap.bytes_in = pe.bytes_in;
-  snap.bytes_out = pe.bytes_out;
+  static_cast<EndpointCounts&>(snap) = pe.counts;
   snap.latency_samples = pe.latency_us.count();
   snap.p50_us = pe.latency_us.p50();
   snap.p95_us = pe.latency_us.p95();
@@ -84,315 +193,98 @@ EndpointSnapshot ServiceMetrics::endpoint_snapshot(Endpoint endpoint) const {
   return snap;
 }
 
-std::uint64_t ServiceMetrics::total_requests() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::uint64_t total = 0;
-  for (const PerEndpoint& pe : per_endpoint_) total += pe.requests;
-  return total;
-}
-
-std::uint64_t ServiceMetrics::total_errors() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::uint64_t total = 0;
-  for (const PerEndpoint& pe : per_endpoint_) total += pe.errors;
-  return total;
-}
-
-std::uint64_t ServiceMetrics::bad_frames() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return bad_frames_;
-}
-
-std::uint64_t ServiceMetrics::batches() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return batches_;
-}
-
-std::uint64_t ServiceMetrics::coalesced_requests() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return coalesced_;
-}
-
-std::uint64_t ServiceMetrics::submitted() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return submitted_;
-}
-
-std::uint64_t ServiceMetrics::completed() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return completed_;
-}
-
 std::uint64_t ServiceMetrics::shed(Status cause) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  switch (cause) {
-    case Status::kOverloaded: return shed_overloaded_;
-    case Status::kUnavailable: return shed_unavailable_;
-    case Status::kDeadlineExceeded: return shed_deadline_;
-    default: return 0;
-  }
+  std::uint64_t ServiceCounts::*cell = shed_cell(cause);
+  return cell ? counts().*cell : 0;
 }
 
 std::uint64_t ServiceMetrics::shed_total() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return shed_overloaded_ + shed_unavailable_ + shed_deadline_;
-}
-
-std::uint64_t ServiceMetrics::quota_sheds() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return shed_quota_;
-}
-
-std::uint64_t ServiceMetrics::principal_submitted(
-    std::uint64_t principal) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto it = principals_.find(principal);
-  return it == principals_.end() ? 0 : it->second.first;
-}
-
-std::uint64_t ServiceMetrics::principal_quota_sheds(
-    std::uint64_t principal) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto it = principals_.find(principal);
-  return it == principals_.end() ? 0 : it->second.second;
+  const ServiceCounts c = counts();
+  return c.shed_overloaded + c.shed_unavailable + c.shed_deadline;
 }
 
 MetricsSnapshot ServiceMetrics::snapshot() const {
   std::lock_guard<std::mutex> lock(mu_);
   MetricsSnapshot snap("abp-serve-stats 1");
-  std::uint64_t total_requests = 0;
-  std::uint64_t total_errors = 0;
-  for (std::size_t i = 0; i < kEndpointCount; ++i) {
+  for (std::size_t i = 0; i < std::size(kAllEndpoints); ++i) {
     const PerEndpoint& pe = per_endpoint_[i];
-    total_requests += pe.requests;
-    total_errors += pe.errors;
     const std::string prefix =
         std::string("endpoint.") + endpoint_name(kAllEndpoints[i]) + '.';
-    snap.set_count(prefix + "requests", pe.requests);
-    snap.set_count(prefix + "errors", pe.errors);
-    snap.set_count(prefix + "bytes-in", pe.bytes_in);
-    snap.set_count(prefix + "bytes-out", pe.bytes_out);
+    put(snap, prefix, pe.counts, kEndpointRows);
     snap.set_gauge(prefix + "p50us", pe.latency_us.p50());
     snap.set_gauge(prefix + "p95us", pe.latency_us.p95());
     snap.set_gauge(prefix + "p99us", pe.latency_us.p99());
   }
-  snap.set_count("total.requests", total_requests);
-  snap.set_count("total.errors", total_errors);
-  snap.set_count("total.bad-frames", bad_frames_);
-  snap.set_count("total.batches", batches_);
-  snap.set_count("total.coalesced", coalesced_);
-  snap.set_count("admission.submitted", submitted_);
-  snap.set_count("admission.completed", completed_);
-  snap.set_count("admission.shed-overloaded", shed_overloaded_);
-  snap.set_count("admission.shed-unavailable", shed_unavailable_);
-  snap.set_count("admission.shed-deadline", shed_deadline_);
-  snap.set_count("admission.shed-quota", shed_quota_);
-  for (const auto& [id, counts] : principals_) {
-    const std::string prefix = "principal." + std::to_string(id) + '.';
-    snap.set_count(prefix + "submitted", counts.first);
-    snap.set_count(prefix + "shed-quota", counts.second);
-  }
+  put(snap, "", counts_, kServiceRows);
+  put_principals(snap, principals_, kServicePrincipalRows);
   return snap;
-}
-
-void ServiceMetrics::render(std::ostream& out) const {
-  out << snapshot().render_text();
 }
 
 std::string ServiceMetrics::render_text() const {
   return snapshot().render_text();
 }
 
-RouterMetrics::RouterMetrics() = default;
-
 void RouterMetrics::add_backend(const std::string& backend) {
   std::lock_guard<std::mutex> lock(mu_);
   backends_.try_emplace(backend);
 }
 
-void RouterMetrics::record_received(std::uint64_t principal) {
+void RouterMetrics::add(std::uint64_t RouterCounts::*counter,
+                        std::uint64_t n) {
   std::lock_guard<std::mutex> lock(mu_);
-  ++received_;
-  ++principals_[principal].first;
+  counts_.*counter += n;
 }
 
-void RouterMetrics::record_local() {
+void RouterMetrics::add(const std::string& backend,
+                        std::uint64_t BackendSnapshot::*counter,
+                        std::uint64_t n) {
   std::lock_guard<std::mutex> lock(mu_);
-  ++local_;
+  backends_[backend].*counter += n;
+}
+
+void RouterMetrics::record_received(std::uint64_t principal) {
+  std::lock_guard<std::mutex> lock(mu_);
+  ++counts_.received;
+  ++principals_[principal].requests;
 }
 
 void RouterMetrics::record_forward(const std::string& backend) {
   std::lock_guard<std::mutex> lock(mu_);
   ++backends_[backend].forwarded;
-}
-
-void RouterMetrics::record_result(const std::string& backend, Status status) {
-  std::lock_guard<std::mutex> lock(mu_);
-  BackendSnapshot& b = backends_[backend];
-  if (status == Status::kOk) {
-    ++b.ok;
-  } else {
-    ++b.errors;
-  }
-}
-
-void RouterMetrics::record_transport_failure(const std::string& backend) {
-  std::lock_guard<std::mutex> lock(mu_);
-  ++backends_[backend].transport_failures;
-}
-
-void RouterMetrics::record_retry(const std::string& backend) {
-  std::lock_guard<std::mutex> lock(mu_);
-  ++backends_[backend].retries;
-}
-
-void RouterMetrics::record_version_mismatch(const std::string& backend) {
-  std::lock_guard<std::mutex> lock(mu_);
-  ++backends_[backend].version_mismatches;
-}
-
-void RouterMetrics::record_install(const std::string& backend) {
-  std::lock_guard<std::mutex> lock(mu_);
-  ++backends_[backend].installs;
-}
-
-void RouterMetrics::record_mutation(const std::string& backend) {
-  std::lock_guard<std::mutex> lock(mu_);
-  ++backends_[backend].mutations;
-}
-
-void RouterMetrics::record_mutation_ack(const std::string& backend) {
-  std::lock_guard<std::mutex> lock(mu_);
-  ++backends_[backend].mutation_acks;
-}
-
-void RouterMetrics::record_replay(const std::string& backend) {
-  std::lock_guard<std::mutex> lock(mu_);
-  ++backends_[backend].replays;
-}
-
-void RouterMetrics::record_probe(const std::string& backend, bool ok) {
-  std::lock_guard<std::mutex> lock(mu_);
-  BackendSnapshot& b = backends_[backend];
-  ++b.probes;
-  if (!ok) ++b.probe_failures;
-}
-
-void RouterMetrics::record_marked_down(const std::string& backend) {
-  std::lock_guard<std::mutex> lock(mu_);
-  ++backends_[backend].marked_down;
-}
-
-void RouterMetrics::record_recovered(const std::string& backend) {
-  std::lock_guard<std::mutex> lock(mu_);
-  ++backends_[backend].recovered;
-}
-
-void RouterMetrics::record_unrouted() {
-  std::lock_guard<std::mutex> lock(mu_);
-  ++unrouted_;
-}
-
-void RouterMetrics::record_write() {
-  std::lock_guard<std::mutex> lock(mu_);
-  ++writes_;
-}
-
-void RouterMetrics::record_write_ack() {
-  std::lock_guard<std::mutex> lock(mu_);
-  ++write_acks_;
-}
-
-void RouterMetrics::record_write_quorum_failure() {
-  std::lock_guard<std::mutex> lock(mu_);
-  ++write_quorum_failures_;
-}
-
-void RouterMetrics::record_write_dedup_hit() {
-  std::lock_guard<std::mutex> lock(mu_);
-  ++write_dedup_hits_;
-}
-
-void RouterMetrics::record_write_dedup_expired() {
-  std::lock_guard<std::mutex> lock(mu_);
-  ++write_dedup_expired_;
-}
-
-void RouterMetrics::record_cache_hit() {
-  std::lock_guard<std::mutex> lock(mu_);
-  ++cache_hits_;
-}
-
-void RouterMetrics::record_cache_miss() {
-  std::lock_guard<std::mutex> lock(mu_);
-  ++cache_misses_;
-}
-
-void RouterMetrics::record_cache_invalidation(std::size_t entries_dropped) {
-  std::lock_guard<std::mutex> lock(mu_);
-  ++cache_invalidations_;
-  cache_entries_invalidated_ += entries_dropped;
-}
-
-void RouterMetrics::record_filter_reject() {
-  std::lock_guard<std::mutex> lock(mu_);
-  ++filter_rejects_;
+  ++counts_.forwarded;
 }
 
 void RouterMetrics::record_quota_shed(std::uint64_t principal) {
   std::lock_guard<std::mutex> lock(mu_);
-  ++quota_sheds_;
-  ++principals_[principal].second;
+  ++counts_.quota_sheds;
+  ++principals_[principal].shed_quota;
+}
+
+void RouterMetrics::record_cache_invalidation(std::size_t entries_dropped) {
+  std::lock_guard<std::mutex> lock(mu_);
+  ++counts_.cache_invalidations;
+  counts_.cache_entries_invalidated += entries_dropped;
 }
 
 void RouterMetrics::set_membership(std::uint64_t epoch, std::uint64_t active,
                                    std::uint64_t joining,
                                    std::uint64_t draining) {
   std::lock_guard<std::mutex> lock(mu_);
-  membership_epoch_ = epoch;
-  membership_active_ = active;
-  membership_joining_ = joining;
-  membership_draining_ = draining;
+  counts_.membership_epoch = epoch;
+  counts_.membership_active = active;
+  counts_.membership_joining = joining;
+  counts_.membership_draining = draining;
 }
 
-void RouterMetrics::record_handoff_snapshot() {
+RouterCounts RouterMetrics::counts() const {
   std::lock_guard<std::mutex> lock(mu_);
-  ++handoff_snapshots_;
+  return counts_;
 }
 
-void RouterMetrics::record_handoff_replay() {
+PrincipalCounts RouterMetrics::principal(std::uint64_t id) const {
   std::lock_guard<std::mutex> lock(mu_);
-  ++handoff_replays_;
-}
-
-std::uint64_t RouterMetrics::membership_epoch() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return membership_epoch_;
-}
-
-std::uint64_t RouterMetrics::membership_active() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return membership_active_;
-}
-
-std::uint64_t RouterMetrics::membership_joining() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return membership_joining_;
-}
-
-std::uint64_t RouterMetrics::membership_draining() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return membership_draining_;
-}
-
-std::uint64_t RouterMetrics::handoff_snapshots() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return handoff_snapshots_;
-}
-
-std::uint64_t RouterMetrics::handoff_replays() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return handoff_replays_;
+  const auto it = principals_.find(id);
+  return it == principals_.end() ? PrincipalCounts{} : it->second;
 }
 
 BackendSnapshot RouterMetrics::backend_snapshot(
@@ -402,145 +294,15 @@ BackendSnapshot RouterMetrics::backend_snapshot(
   return it == backends_.end() ? BackendSnapshot{} : it->second;
 }
 
-std::uint64_t RouterMetrics::received() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return received_;
-}
-
-std::uint64_t RouterMetrics::forwarded_total() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::uint64_t total = 0;
-  for (const auto& [name, b] : backends_) total += b.forwarded;
-  return total;
-}
-
-std::uint64_t RouterMetrics::unrouted() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return unrouted_;
-}
-
-std::uint64_t RouterMetrics::writes() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return writes_;
-}
-
-std::uint64_t RouterMetrics::write_acks() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return write_acks_;
-}
-
-std::uint64_t RouterMetrics::write_quorum_failures() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return write_quorum_failures_;
-}
-
-std::uint64_t RouterMetrics::write_dedup_hits() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return write_dedup_hits_;
-}
-
-std::uint64_t RouterMetrics::write_dedup_expired() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return write_dedup_expired_;
-}
-
-std::uint64_t RouterMetrics::cache_hits() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return cache_hits_;
-}
-
-std::uint64_t RouterMetrics::cache_misses() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return cache_misses_;
-}
-
-std::uint64_t RouterMetrics::cache_invalidations() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return cache_invalidations_;
-}
-
-std::uint64_t RouterMetrics::cache_entries_invalidated() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return cache_entries_invalidated_;
-}
-
-std::uint64_t RouterMetrics::filter_rejects() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return filter_rejects_;
-}
-
-std::uint64_t RouterMetrics::quota_sheds() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return quota_sheds_;
-}
-
-std::uint64_t RouterMetrics::principal_received(
-    std::uint64_t principal) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto it = principals_.find(principal);
-  return it == principals_.end() ? 0 : it->second.first;
-}
-
-std::uint64_t RouterMetrics::principal_quota_sheds(
-    std::uint64_t principal) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto it = principals_.find(principal);
-  return it == principals_.end() ? 0 : it->second.second;
-}
-
 MetricsSnapshot RouterMetrics::snapshot() const {
   std::lock_guard<std::mutex> lock(mu_);
   MetricsSnapshot snap("abp-route-stats 1");
-  std::uint64_t forwarded_total = 0;
-  for (const auto& [name, b] : backends_) {
-    forwarded_total += b.forwarded;
-    const std::string prefix = "backend." + name + '.';
-    snap.set_count(prefix + "forwarded", b.forwarded);
-    snap.set_count(prefix + "ok", b.ok);
-    snap.set_count(prefix + "errors", b.errors);
-    snap.set_count(prefix + "transport-failures", b.transport_failures);
-    snap.set_count(prefix + "retries", b.retries);
-    snap.set_count(prefix + "version-mismatches", b.version_mismatches);
-    snap.set_count(prefix + "installs", b.installs);
-    snap.set_count(prefix + "mutations", b.mutations);
-    snap.set_count(prefix + "mutation-acks", b.mutation_acks);
-    snap.set_count(prefix + "replays", b.replays);
-    snap.set_count(prefix + "probes", b.probes);
-    snap.set_count(prefix + "probe-failures", b.probe_failures);
-    snap.set_count(prefix + "marked-down", b.marked_down);
-    snap.set_count(prefix + "recovered", b.recovered);
+  for (const auto& [name, backend] : backends_) {
+    put(snap, "backend." + name + '.', backend, kBackendRows);
   }
-  snap.set_count("router.received", received_);
-  snap.set_count("router.local", local_);
-  snap.set_count("router.forwarded", forwarded_total);
-  snap.set_count("router.unrouted", unrouted_);
-  snap.set_count("router.filter-rejects", filter_rejects_);
-  snap.set_count("writes.submitted", writes_);
-  snap.set_count("writes.acked", write_acks_);
-  snap.set_count("writes.quorum-failures", write_quorum_failures_);
-  snap.set_count("writes.dedup-hits", write_dedup_hits_);
-  snap.set_count("writes.dedup-expired", write_dedup_expired_);
-  snap.set_count("cache.hits", cache_hits_);
-  snap.set_count("cache.misses", cache_misses_);
-  snap.set_count("cache.invalidations", cache_invalidations_);
-  snap.set_count("cache.entries-invalidated", cache_entries_invalidated_);
-  snap.set_count("quota.sheds", quota_sheds_);
-  snap.set_count("membership.epoch", membership_epoch_);
-  snap.set_count("membership.active", membership_active_);
-  snap.set_count("membership.joining", membership_joining_);
-  snap.set_count("membership.draining", membership_draining_);
-  snap.set_count("handoff.snapshots", handoff_snapshots_);
-  snap.set_count("handoff.replays", handoff_replays_);
-  for (const auto& [id, counts] : principals_) {
-    const std::string prefix = "principal." + std::to_string(id) + '.';
-    snap.set_count(prefix + "received", counts.first);
-    snap.set_count(prefix + "shed-quota", counts.second);
-  }
+  put(snap, "", counts_, kRouterRows);
+  put_principals(snap, principals_, kRouterPrincipalRows);
   return snap;
-}
-
-void RouterMetrics::render(std::ostream& out) const {
-  out << snapshot().render_text();
 }
 
 std::string RouterMetrics::render_text() const {

@@ -1,7 +1,6 @@
 #include "serve/server.h"
 
 #include <algorithm>
-#include <chrono>
 #include <utility>
 
 #include "common/assert.h"
@@ -19,12 +18,6 @@ std::string rejection_payload(std::uint64_t seq, Status status,
   response.message = message;
   if (status == Status::kOverloaded) response.retry_after_ms = retry_after_ms;
   return format_response(response);
-}
-
-double steady_now_ms() {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
 }
 
 }  // namespace
@@ -49,11 +42,9 @@ double Server::now_ms() const {
 
 void Server::reject(const Request& request, Status status,
                     const std::string& why, std::size_t bytes_in,
-                    const std::function<void(std::string)>& reply,
-                    std::uint32_t retry_after_ms) {
+                    const std::function<void(std::string)>& reply) {
   const std::string rejection = rejection_payload(
-      request.seq, status, why,
-      retry_after_ms != 0 ? retry_after_ms : options_.retry_after_hint_ms);
+      request.seq, status, why, options_.retry_after_hint_ms);
   service_.metrics().record(request.endpoint, status, bytes_in,
                             rejection.size(), 0.0);
   service_.metrics().record_shed(status);
@@ -66,7 +57,7 @@ void Server::submit(std::string payload,
   std::string parse_error;
   std::optional<Request> request = parse_request(payload, &parse_error);
   if (!request) {
-    service_.metrics().record_bad_frame(bytes_in);
+    record_bad_frame(bytes_in);
     reply(rejection_payload(0, Status::kBadRequest, parse_error));
     return;
   }
@@ -115,8 +106,8 @@ void Server::submit(std::string payload,
   reject(*request, shed_status, shed_why, bytes_in, reply);
 }
 
-void Server::record_bad_frame(std::size_t bytes_in) {
-  service_.metrics().record_bad_frame(bytes_in);
+void Server::record_bad_frame(std::size_t /*bytes_in*/) {
+  service_.metrics().add(&ServiceCounts::bad_frames);
 }
 
 void Server::pump_ready() {
@@ -130,7 +121,7 @@ void Server::shed_overloaded(std::string payload,
   std::string parse_error;
   const std::optional<Request> request = parse_request(payload, &parse_error);
   if (!request) {
-    service_.metrics().record_bad_frame(bytes_in);
+    record_bad_frame(bytes_in);
     reply(rejection_payload(0, Status::kBadRequest, parse_error));
     return;
   }
@@ -212,7 +203,6 @@ void Server::run_batch(std::vector<Pending> batch) {
     for (const Pending& pending : live) requests.push_back(pending.request);
     std::vector<Response> responses = service_.handle_batch(requests);
     service_.metrics().record_batch(live.size());
-    service_.metrics().record_completed(live.size());
     for (std::size_t i = 0; i < live.size(); ++i) {
       std::string payload = format_response_capped(responses[i]);
       service_.metrics().record(requests[i].endpoint, responses[i].status,
@@ -224,8 +214,6 @@ void Server::run_batch(std::vector<Pending> batch) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     in_flight_ -= batch.size();
-    if (!live.empty()) batches_ += 1;
-    served_ += batch.size();
   }
   cv_drain_.notify_all();
 }
@@ -285,16 +273,6 @@ void Server::shutdown() {
 bool Server::shutting_down() const {
   std::lock_guard<std::mutex> lock(mu_);
   return stopping_;
-}
-
-std::uint64_t Server::batches_executed() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return batches_;
-}
-
-std::uint64_t Server::requests_served() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return served_;
 }
 
 std::size_t Server::queue_depth() const {

@@ -123,9 +123,6 @@ class Server : public FrameSink {
   LocalizationService& service() { return service_; }
   const Options& options() const { return options_; }
 
-  /// Observability for tests and the shutdown dump.
-  std::uint64_t batches_executed() const;
-  std::uint64_t requests_served() const;
   /// Slot accounting for the chaos suite: both must be 0 once every
   /// submission has been answered — a leak here is a stuck request.
   std::size_t queue_depth() const;
@@ -152,13 +149,10 @@ class Server : public FrameSink {
   void run_batch(std::vector<Pending> batch);
   void worker_loop();
   /// Answer a parsed request with a shed status (never enqueued) and
-  /// record both endpoint and admission metrics. `retry_after_ms` overrides
-  /// the configured hint when non-zero (quota sheds carry the principal's
-  /// own refill deficit).
+  /// record both endpoint and admission metrics.
   void reject(const Request& request, Status status, const std::string& why,
               std::size_t bytes_in,
-              const std::function<void(std::string)>& reply,
-              std::uint32_t retry_after_ms = 0);
+              const std::function<void(std::string)>& reply);
 
   LocalizationService& service_;
   Options options_;
@@ -172,8 +166,6 @@ class Server : public FrameSink {
   bool stopping_ = false;  ///< reject new submissions
   bool quit_ = false;      ///< workers exit once the queue is empty
   std::vector<std::thread> workers_;
-  std::uint64_t batches_ = 0;
-  std::uint64_t served_ = 0;
   /// Fair-dequeue cursor: id of the principal served last; the next batch
   /// seeds from the smallest queued principal id strictly greater (cyclic).
   std::uint64_t last_principal_ = 0;

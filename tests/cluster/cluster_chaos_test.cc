@@ -377,7 +377,7 @@ TEST(ClusterChaos, OwnerKilledMidWriteBurstKeepsQuorumThenReplays) {
     ASSERT_TRUE(response.has_value());
     EXPECT_EQ(response->status, serve::Status::kOk) << "write " << i + 1;
   }
-  EXPECT_EQ(cluster.metrics.write_acks(), kWrites);
+  EXPECT_EQ(cluster.metrics.counts().write_acks, kWrites);
   EXPECT_EQ(cluster.replicator->read_version("default"), 1 + kWrites);
 
   // Heal the partition. Drive the heartbeat until the breaker sits closed
@@ -590,10 +590,10 @@ TEST(ClusterChaos, PostAppendQuorumLossThenSameIdRetryAppliesOnce) {
   // client kept is byte-identical to a direct single server's.
   EXPECT_EQ(cluster.replicator->version("default"), 2u);
   EXPECT_EQ(cluster.replicator->read_version("default"), 2u);
-  EXPECT_EQ(cluster.metrics.writes(), 1u);
+  EXPECT_EQ(cluster.metrics.counts().writes, 1u);
   EXPECT_EQ(cluster.metrics.write_quorum_failures(), 1u);
   EXPECT_EQ(cluster.metrics.write_dedup_hits(), 1u);
-  EXPECT_EQ(cluster.metrics.write_acks(), 1u);
+  EXPECT_EQ(cluster.metrics.counts().write_acks, 1u);
   serve::Request reference = add;
   reference.request_id = 0xE0E0ull;
   reference.attempt = 1;  // what the successful retry carried
@@ -655,7 +655,7 @@ TEST(ClusterChaos, DuplicateDeliveredRoutedWriteIsSuppressed) {
                                          "original ack byte-for-byte";
   EXPECT_EQ(payloads[0], direct_payload({add}));
   EXPECT_EQ(cluster.replicator->version("default"), 2u);
-  EXPECT_EQ(cluster.metrics.writes(), 1u);
+  EXPECT_EQ(cluster.metrics.counts().writes, 1u);
   EXPECT_EQ(cluster.metrics.write_dedup_hits(), 1u);
   expect_backends_reconcile(cluster);
 }
@@ -707,7 +707,7 @@ TEST(ClusterChaos, RetryStormAppliesEachLogicalWriteOnce) {
 
   // Exactly one append per logical write, regardless of delivery count.
   EXPECT_EQ(cluster.replicator->version("default"), 1 + kWrites);
-  EXPECT_EQ(cluster.metrics.writes(), kWrites);
+  EXPECT_EQ(cluster.metrics.counts().writes, kWrites);
   EXPECT_GT(cluster.metrics.write_dedup_hits(), 0u)
       << "duplicates/retries must be answered from the index, not applied";
 
@@ -961,7 +961,7 @@ TEST(ClusterChaos, ScaleUpThenDrainUnderLoadIsExactlyOnce) {
   EXPECT_EQ(non_retryable.load(), 0u);
   // Exactly-once: one log append per acked write, no extras from retries.
   EXPECT_EQ(cluster.replicator->version("default"), 1 + applied.size());
-  EXPECT_EQ(cluster.metrics.writes(), applied.size());
+  EXPECT_EQ(cluster.metrics.counts().writes, applied.size());
 
   // Byte-identity against a never-resized reference server that applied
   // the same acked writes in the same (single-writer) order.

@@ -142,8 +142,8 @@ TEST(MembershipController, AddShipsStateThenFlipsTheEpoch) {
   EXPECT_TRUE(cluster.membership.view()->ring.contains("b3"));
   EXPECT_EQ(cluster.membership.count(MemberState::kActive), 3u);
   EXPECT_EQ(cluster.membership.count(MemberState::kJoining), 0u);
-  EXPECT_EQ(cluster.metrics.membership_epoch(), 2u);
-  EXPECT_EQ(cluster.metrics.membership_active(), 3u);
+  EXPECT_EQ(cluster.metrics.counts().membership_epoch, 2u);
+  EXPECT_EQ(cluster.metrics.counts().membership_active, 3u);
 
   // replication 2 of 3 backends: b3 gained "default" iff the new ring says
   // so; either way it must hold the current version if it is an owner.
@@ -151,7 +151,7 @@ TEST(MembershipController, AddShipsStateThenFlipsTheEpoch) {
   const bool owner = std::find(owners.begin(), owners.end(), "b3") !=
                      owners.end();
   if (owner) {
-    EXPECT_GE(cluster.metrics.handoff_snapshots(), 1u);
+    EXPECT_GE(cluster.metrics.counts().handoff_snapshots, 1u);
     EXPECT_EQ(cluster.sim("b3").service.field_version("default"),
               cluster.replicator->version("default"));
   }
@@ -247,9 +247,9 @@ TEST(MembershipController, HandoffReplayResumesOnAJoinerWithTwoWorkers) {
   ASSERT_EQ(response.status, serve::Status::kOk) << response.message;
   EXPECT_FALSE(joiner.wire.reversing());
   EXPECT_EQ(cluster.membership.epoch(), 2u);
-  EXPECT_EQ(cluster.metrics.handoff_snapshots(), 1u)
+  EXPECT_EQ(cluster.metrics.counts().handoff_snapshots, 1u)
       << "the suffix must arrive by replay, not a second snapshot";
-  EXPECT_GE(cluster.metrics.handoff_replays(), 1u);
+  EXPECT_GE(cluster.metrics.counts().handoff_replays, 1u);
   EXPECT_EQ(joiner.service.field_version("default"),
             cluster.replicator->version("default"));
   EXPECT_EQ(joiner.service.handle(snapshot_fetch()).text,
@@ -266,7 +266,7 @@ TEST(MembershipController, HandoffShipmentsCountOnTheJoinersBackendCounters) {
   cluster.add_sim("b3");
   const serve::Response response = cluster.admin("add", "b3");
   ASSERT_EQ(response.status, serve::Status::kOk) << response.message;
-  EXPECT_EQ(cluster.metrics.handoff_snapshots(), 1u);
+  EXPECT_EQ(cluster.metrics.counts().handoff_snapshots, 1u);
   EXPECT_EQ(cluster.metrics.backend_snapshot("b3").installs, 1u);
 }
 

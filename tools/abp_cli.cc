@@ -390,7 +390,7 @@ std::size_t serve_oneshot(serve::Server& server, std::istream& in,
     ++served;
   }
   if (decoder.corrupt() || decoder.buffered() > 0) {
-    server.service().metrics().record_bad_frame(decoder.buffered());
+    server.record_bad_frame(decoder.buffered());
     serve::Response rejection;
     rejection.status = serve::Status::kBadRequest;
     rejection.message =
