@@ -11,6 +11,11 @@
 
 namespace abp::cluster {
 
+/// Suffix catch-up rounds shipped to a joiner *before* the fenced flip; the
+/// flip itself replays any final delta with writes fenced out, so this only
+/// bounds how much of the catch-up happens without blocking writers.
+constexpr std::size_t kHandoffRounds = 4;
+
 const char* member_state_name(MemberState state) {
   switch (state) {
     case MemberState::kJoining: return "joining";
@@ -138,7 +143,6 @@ MembershipController::MembershipController(MembershipTable& table,
       replicator_(&replicator),
       metrics_(&metrics),
       options_(std::move(options)) {
-  if (options_.handoff_rounds == 0) options_.handoff_rounds = 1;
   publish_metrics();
 }
 
@@ -244,7 +248,7 @@ AdminResult MembershipController::add(const std::string& backend) {
   // Phase 2: chase the write stream without blocking it — replay the
   // suffix that accumulated behind each snapshot, a bounded number of
   // rounds, so the fenced flip below has almost nothing left to ship.
-  for (std::size_t round = 0; round < options_.handoff_rounds; ++round) {
+  for (std::size_t round = 0; round < kHandoffRounds; ++round) {
     bool current = true;
     for (auto& [name, version] : shipped) {
       if (replicator_->version(name) == version) continue;

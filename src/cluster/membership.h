@@ -118,11 +118,6 @@ struct AdminResult {
 };
 
 struct MembershipControllerOptions {
-  /// Suffix catch-up rounds shipped to a joiner *before* the fenced flip;
-  /// the flip itself replays any final delta with writes fenced out, so
-  /// this only bounds how much of the catch-up happens without blocking
-  /// writers.
-  std::size_t handoff_rounds = 4;
   /// Upper bound on the drain path's wait for the victim's FIFO to empty.
   /// A dead backend's queue is failed fast by its breaker, so this only
   /// bounds the healthy-but-slow case.

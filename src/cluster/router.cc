@@ -12,15 +12,11 @@ using serve::RouterCounts;
 
 namespace {
 
-std::string rejection_payload(std::uint64_t seq, serve::Status status,
-                              const std::string& message,
-                              std::uint32_t retry_after_ms = 0) {
+serve::Response text_response(std::uint64_t seq, std::string text) {
   serve::Response response;
   response.seq = seq;
-  response.status = status;
-  response.message = message;
-  response.retry_after_ms = retry_after_ms;
-  return serve::format_response(response);
+  response.text = std::move(text);
+  return response;
 }
 
 /// A backend reply counts as `ok` or as an error by its status.
@@ -34,12 +30,13 @@ std::uint64_t serve::BackendSnapshot::*result_cell(serve::Status status) {
 /// byte-identical to what a direct single server with this history would
 /// have answered. The client holds seq constant across retries, so a
 /// duplicate's re-synthesis matches the first ack's bytes too.
-std::string ack_payload(std::uint64_t seq, const serve::WriteAck& logged) {
+serve::Response ack_response(std::uint64_t seq,
+                             const serve::WriteAck& logged) {
   serve::Response ok;
   ok.seq = seq;
   ok.positions = logged.positions;
   ok.beacon_ids = logged.beacon_ids;
-  return serve::format_response_capped(ok);
+  return ok;
 }
 
 }  // namespace
@@ -59,7 +56,6 @@ Router::Router(MembershipTable& membership, BackendPool& pool,
     quotas_ = std::make_unique<serve::PrincipalQuotas>(options_.quota);
   }
   MembershipController::Options admin_options;
-  admin_options.handoff_rounds = options_.handoff_rounds;
   admin_options.drain_timeout_ms = options_.drain_timeout_ms;
   admin_options.clock_ms = options_.clock_ms;
   admin_ = std::make_unique<MembershipController>(
@@ -88,48 +84,40 @@ void Router::record_bad_frame(std::size_t /*bytes_in*/) {
   metrics_->add(&RouterCounts::local);
 }
 
-void Router::answer_local(std::uint64_t seq, std::string text,
+void Router::answer_local(const serve::Response& response,
                           const std::function<void(std::string)>& reply) {
   metrics_->add(&RouterCounts::local);
-  serve::Response response;
-  response.seq = seq;
-  response.status = serve::Status::kOk;
-  response.text = std::move(text);
   reply(serve::format_response_capped(response));
 }
 
 void Router::submit(std::string payload,
                     std::function<void(std::string)> reply) {
-  std::string parse_error;
   std::optional<serve::Request> request =
-      serve::parse_request(payload, &parse_error);
-  if (!request) {
-    record_bad_frame(payload.size());
-    reply(rejection_payload(0, serve::Status::kBadRequest, parse_error));
-    return;
-  }
+      serve::parse_or_refuse(*this, payload, reply);
+  if (!request) return;
   metrics_->record_received(request->principal);
+  const std::uint64_t seq = request->seq;
   const serve::EndpointTraits& traits = endpoint_traits(request->endpoint);
   if (traits.router_local) {
     // Quota-exempt: operators can always introspect a loaded router.
     switch (request->endpoint) {
       case serve::Endpoint::kStats:
-        answer_local(request->seq, metrics_->render_text(), reply);
+        answer_local(text_response(seq, metrics_->render_text()), reply);
         return;
       case serve::Endpoint::kAdmin:
         handle_admin(*request, reply);
         return;
       default:
-        answer_local(request->seq, replicator_->list_text(), reply);
+        answer_local(text_response(seq, replicator_->list_text()), reply);
         return;
     }
   }
   if (traits.internal_only) {
     // Mutations are minted by the router's own log; accepting one from a
     // client would fork a replica's version history.
-    metrics_->add(&RouterCounts::local);
-    reply(rejection_payload(request->seq, serve::Status::kBadRequest,
-                            "mutations are managed by the router"));
+    answer_local(serve::refusal(seq, serve::Status::kBadRequest,
+                                "mutations are managed by the router"),
+                 reply);
     return;
   }
   if (request->endpoint == serve::Endpoint::kSnapshot &&
@@ -138,9 +126,10 @@ void Router::submit(std::string payload,
     // would mutate a single backend behind the replicator's back and
     // desynchronize the version registry. (Snapshot *fetches* route
     // normally.)
-    metrics_->add(&RouterCounts::local);
-    reply(rejection_payload(request->seq, serve::Status::kBadRequest,
-                            "snapshot installs are managed by the router"));
+    answer_local(
+        serve::refusal(seq, serve::Status::kBadRequest,
+                       "snapshot installs are managed by the router"),
+        reply);
     return;
   }
   if (quotas_) {
@@ -148,20 +137,15 @@ void Router::submit(std::string payload,
         quotas_->admit(request->principal, now_ms());
     if (!decision.admitted) {
       metrics_->record_quota_shed(request->principal);
-      metrics_->add(&RouterCounts::local);
-      reply(rejection_payload(
-          request->seq, serve::Status::kOverloaded,
-          "quota exceeded for principal " +
-              std::to_string(request->principal) + "; retry with backoff",
-          decision.retry_after_ms));
+      answer_local(serve::quota_refusal(*request, decision), reply);
       return;
     }
   }
   if (replicator_->version(request->field) == 0) {
     metrics_->add(&RouterCounts::filter_rejects);
-    metrics_->add(&RouterCounts::local);
-    reply(rejection_payload(request->seq, serve::Status::kNotFound,
-                            "unknown deployment '" + request->field + "'"));
+    answer_local(serve::refusal(seq, serve::Status::kNotFound,
+                                "unknown deployment '" + request->field + "'"),
+                 reply);
     return;
   }
   if (traits.mutating) {
@@ -182,9 +166,8 @@ void Router::submit(std::string payload,
       // Cached responses store seq 0; re-stamp the requester's seq so the
       // bytes match an uncached forward of this exact request.
       metrics_->add(&RouterCounts::cache_hits);
-      metrics_->add(&RouterCounts::local);
-      hit->seq = state->request.seq;
-      reply(serve::format_response_capped(*hit));
+      hit->seq = seq;
+      answer_local(*hit, reply);
       return;
     }
     metrics_->add(&RouterCounts::cache_misses);
@@ -197,10 +180,11 @@ void Router::submit(std::string payload,
 
 void Router::handle_admin(const serve::Request& request,
                           const std::function<void(std::string)>& reply) {
-  metrics_->add(&RouterCounts::local);
+  const std::uint64_t seq = request.seq;
   if (!options_.admin) {
-    reply(rejection_payload(request.seq, serve::Status::kBadRequest,
-                            "admin endpoint disabled on this router"));
+    answer_local(serve::refusal(seq, serve::Status::kBadRequest,
+                                "admin endpoint disabled on this router"),
+                 reply);
     return;
   }
   std::string backend = request.text;
@@ -209,7 +193,6 @@ void Router::handle_admin(const serve::Request& request,
           backend.back() == ' ')) {
     backend.pop_back();
   }
-  const std::uint64_t seq = request.seq;
   if (request.algorithm == "status") {
     answer_admin(seq, admin_->status(), reply);
   } else if (request.algorithm == "add") {
@@ -221,40 +204,31 @@ void Router::handle_admin(const serve::Request& request,
       answer_admin(seq, admin_->drain(backend), reply);
     });
   } else {
-    reply(rejection_payload(request.seq, serve::Status::kBadRequest,
-                            "admin verb must be add|drain|status (got '" +
-                                request.algorithm + "')"));
+    answer_local(serve::refusal(seq, serve::Status::kBadRequest,
+                                "admin verb must be add|drain|status (got '" +
+                                    request.algorithm + "')"),
+                 reply);
   }
 }
 
 void Router::answer_admin(std::uint64_t seq, AdminResult result,
                           const std::function<void(std::string)>& reply) {
-  if (!result.ok) {
-    reply(rejection_payload(seq, result.status, result.message));
-    return;
-  }
-  serve::Response response;
-  response.seq = seq;
-  response.status = serve::Status::kOk;
-  response.text = std::move(result.text);
-  reply(serve::format_response_capped(response));
+  answer_local(result.ok ? text_response(seq, std::move(result.text))
+                         : serve::refusal(seq, result.status,
+                                          std::move(result.message)),
+               reply);
 }
 
 void Router::shed_overloaded(std::string payload,
                              std::function<void(std::string)> reply,
                              const std::string& why) {
-  std::string parse_error;
   const std::optional<serve::Request> request =
-      serve::parse_request(payload, &parse_error);
-  if (!request) {
-    record_bad_frame(payload.size());
-    reply(rejection_payload(0, serve::Status::kBadRequest, parse_error));
-    return;
-  }
+      serve::parse_or_refuse(*this, payload, reply);
+  if (!request) return;
   metrics_->record_received(request->principal);
-  metrics_->add(&RouterCounts::local);
-  reply(rejection_payload(request->seq, serve::Status::kOverloaded, why,
-                          options_.retry_after_hint_ms));
+  answer_local(serve::refusal(request->seq, serve::Status::kOverloaded, why,
+                              options_.retry_after_hint_ms),
+               reply);
 }
 
 void Router::route(std::shared_ptr<CallState> state, bool is_retry) {
@@ -278,8 +252,9 @@ void Router::route(std::shared_ptr<CallState> state, bool is_retry) {
     ++state->next_owner;
   }
   metrics_->add(&RouterCounts::unrouted);
-  finish_unavailable(state, "no live replica for deployment '" +
-                                state->request.field + "'");
+  state->reply(unavailable(state->request.seq,
+                           "no live replica for deployment '" +
+                               state->request.field + "'"));
 }
 
 void Router::handle_failure(const std::shared_ptr<CallState>& state,
@@ -292,8 +267,9 @@ void Router::handle_failure(const std::shared_ptr<CallState>& state,
     route(state, /*is_retry=*/true);
     return;
   }
-  finish_unavailable(state, "backend '" + backend +
-                                "' failed before replying; retry");
+  state->reply(unavailable(state->request.seq,
+                           "backend '" + backend +
+                               "' failed before replying; retry"));
 }
 
 void Router::handle_reply(const std::shared_ptr<CallState>& state,
@@ -380,11 +356,10 @@ void Router::deliver(const std::shared_ptr<CallState>& state,
   state->reply(serve::format_response_capped(response));
 }
 
-void Router::finish_unavailable(const std::shared_ptr<CallState>& state,
-                                const std::string& why) {
-  state->reply(rejection_payload(state->request.seq,
-                                 serve::Status::kUnavailable, why,
-                                 options_.retry_after_hint_ms));
+std::string Router::unavailable(std::uint64_t seq, std::string why) const {
+  return serve::format_response(
+      serve::refusal(seq, serve::Status::kUnavailable, std::move(why),
+                     options_.retry_after_hint_ms));
 }
 
 void Router::route_write(serve::Request request,
@@ -392,13 +367,15 @@ void Router::route_write(serve::Request request,
   // Validate exactly as a backend would *before* touching the log: a write
   // any replica would reject must never be appended.
   if (request.points.empty()) {
-    reply(rejection_payload(request.seq, serve::Status::kBadRequest,
-                            "add-beacon needs at least one point"));
+    answer_local(serve::refusal(request.seq, serve::Status::kBadRequest,
+                                "add-beacon needs at least one point"),
+                 reply);
     return;
   }
   if (request.points.size() > serve::kMaxPointsPerRequest) {
-    reply(rejection_payload(request.seq, serve::Status::kBadRequest,
-                            "too many points in one request"));
+    answer_local(serve::refusal(request.seq, serve::Status::kBadRequest,
+                                "too many points in one request"),
+                 reply);
     return;
   }
   const std::uint64_t request_id =
@@ -437,7 +414,7 @@ void Router::route_write(serve::Request request,
     // took it already ack idempotently) and answers at quorum.
     metrics_->add(&RouterCounts::write_dedup_hits);
     if (hit.acked) {
-      reply(ack_payload(request.seq, hit));
+      answer_local(ack_response(request.seq, hit), reply);
       return;
     }
   } else if (verdict == serve::DedupIndex::Verdict::kExpired) {
@@ -446,8 +423,10 @@ void Router::route_write(serve::Request request,
     // again risks the duplicate this whole path exists to prevent.
     // Terminal by design — see DESIGN.md §11.
     metrics_->add(&RouterCounts::write_dedup_expired);
-    reply(rejection_payload(request.seq, serve::Status::kDedupExpired,
-                            serve::DedupIndex::expired_message(request.field)));
+    answer_local(
+        serve::refusal(request.seq, serve::Status::kDedupExpired,
+                       serve::DedupIndex::expired_message(request.field)),
+        reply);
     return;
   }
   // Feasibility check before the append: if fewer owners are live than the
@@ -456,11 +435,10 @@ void Router::route_write(serve::Request request,
   // through to the post-append quorum accounting below.)
   if (live < quorum) {
     metrics_->add(&RouterCounts::unrouted);
-    reply(rejection_payload(
-        request.seq, serve::Status::kUnavailable,
-        "write quorum of " + std::to_string(quorum) + " unreachable for '" +
-            request.field + "' (" + std::to_string(live) + " live owners)",
-        options_.retry_after_hint_ms));
+    reply(unavailable(request.seq,
+                      "write quorum of " + std::to_string(quorum) +
+                          " unreachable for '" + request.field + "' (" +
+                          std::to_string(live) + " live owners)"));
     return;
   }
   const serve::WriteAck logged =
@@ -471,7 +449,8 @@ void Router::route_write(serve::Request request,
   state->quorum = quorum;
   state->targets = owners.size();
   state->reply = std::move(reply);
-  state->ok_payload = ack_payload(request.seq, logged);
+  state->ok_payload =
+      serve::format_response_capped(ack_response(request.seq, logged));
   state->mutate.endpoint = serve::Endpoint::kMutate;
   state->mutate.seq = request.seq;
   state->mutate.field = request.field;
@@ -585,11 +564,10 @@ void Router::write_failure(const std::shared_ptr<WriteState>& state,
   }
   if (fire) {
     metrics_->add(&RouterCounts::write_quorum_failures);
-    state->reply(rejection_payload(
-        state->mutate.seq, serve::Status::kUnavailable,
+    state->reply(unavailable(
+        state->mutate.seq,
         "write quorum lost for deployment '" + state->mutate.field +
-            "'; the mutation is logged and will converge to the replicas",
-        options_.retry_after_hint_ms));
+            "'; the mutation is logged and will converge to the replicas"));
   }
 }
 

@@ -117,8 +117,6 @@ struct RouterOptions {
   /// Membership admin plane (`abp route-admin`): `--admin 0` rejects the
   /// `admin` endpoint outright on routers that must stay immutable.
   bool admin = true;
-  /// Suffix catch-up rounds a joiner gets before the fenced activation.
-  std::size_t handoff_rounds = 4;
   /// Upper bound on the drain path's wait for a victim's FIFO to empty.
   double drain_timeout_ms = 5000.0;
 };
@@ -188,9 +186,13 @@ class Router final : public serve::FrameSink {
                       const std::string& backend);
   void deliver(const std::shared_ptr<CallState>& state,
                const std::string& backend, serve::Response response);
-  void finish_unavailable(const std::shared_ptr<CallState>& state,
-                          const std::string& why);
-  void answer_local(std::uint64_t seq, std::string text,
+  /// The retryable `unavailable` refusal payload (no live replica, no
+  /// write quorum, backend failure), carrying the router's hint.
+  std::string unavailable(std::uint64_t seq, std::string why) const;
+  /// The one exit of every request the router answers itself (stats,
+  /// list-fields, admin, cache hits, refusals, sheds, acked dedup hits):
+  /// counts `router.local` once, then replies with `response`.
+  void answer_local(const serve::Response& response,
                     const std::function<void(std::string)>& reply);
 
   /// Membership admin plane: verb in `algorithm`, backend address in the

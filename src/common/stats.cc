@@ -153,12 +153,15 @@ double Histogram::percentile(double q) const {
       // The edge buckets absorb out-of-range samples, so their nominal
       // bounds can understate the data — widen them to the observed
       // extremes or a saturated tail would cap every percentile at `hi`.
+      // A lower end at or below 0 (an observed minimum of 0) has no
+      // geometric mean with anything, so that bucket interpolates linearly.
       const double frac = n > 1.0 ? (rank - below) / (n - 1.0) : 0.0;
       const double lower = i == 0 ? min_ : bucket_lower(i);
       const double upper = i + 1 == counts_.size() ? max_ : bucket_upper(i);
       const double a = std::max(lower, min_);
       const double b = std::min(upper, max_);
-      const double v = b > a ? a * std::pow(b / a, frac) : a;
+      double v = a;
+      if (b > a) v = a > 0.0 ? a * std::pow(b / a, frac) : a + (b - a) * frac;
       return std::clamp(v, min_, max_);
     }
     below += n;

@@ -48,17 +48,15 @@ void Connection::on_bytes(std::string_view bytes) {
     // final diagnostic (it takes the last ticket, so ordering holds), after
     // which the transport flushes and hangs up.
     corrupt_reported_ = true;
-    sink_->record_bad_frame(decoder_.buffered());
-    Response response;
-    response.status = Status::kBadRequest;
-    response.message = decoder_.error();
+    std::string refusal =
+        refuse_bad_frame(*sink_, decoder_.buffered(), decoder_.error());
     std::uint64_t ticket = 0;
     {
       std::lock_guard<std::mutex> lock(mu_);
       ticket = next_ticket_++;
       ++inflight_;
     }
-    complete(ticket, format_response(response));
+    complete(ticket, std::move(refusal));
   }
 }
 

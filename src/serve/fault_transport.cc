@@ -1,7 +1,6 @@
 #include "serve/fault_transport.h"
 
 #include <chrono>
-#include <future>
 #include <thread>
 #include <utility>
 
@@ -58,7 +57,7 @@ FaultStep FaultScript::next() {
 }
 
 FaultTransport::FaultTransport(Server& server, Options options)
-    : server_(&server),
+    : loopback_(std::make_unique<LoopbackTransport>(server)),
       options_(std::move(options)),
       rng_(derive_seed(options_.seed, 0xFA01)) {}
 
@@ -79,33 +78,16 @@ void FaultTransport::stall(double ms) {
   }
 }
 
-/// Carry the frame to the peer and bring the response frame back,
-/// stalling between enqueue and drain when the script says so. In server
-/// mode this mirrors `LoopbackTransport::roundtrip_frame`, with the stall
-/// inserted where a real network would park the request in the queue.
+/// Carry the frame to the peer and bring the response frame back. In
+/// server mode this is the loopback's exchange, with the stall inserted
+/// where a real network would park the request in the queue.
 std::string FaultTransport::deliver(std::string frame, double stall_ms) {
-  if (!server_) {
+  if (!loopback_) {
     stall(stall_ms);  // generic mode: stall before delivery
     return exchange_(std::move(frame));
   }
-  FrameDecoder decoder;
-  decoder.feed(frame);
-  std::optional<std::string> payload = decoder.next();
-  if (!payload) {
-    server_->record_bad_frame(frame.size());
-    Response response;
-    response.status = Status::kBadRequest;
-    response.message = decoder.corrupt() ? decoder.error() : "truncated frame";
-    return encode_frame(format_response(response));
-  }
-  std::promise<std::string> promise;
-  std::future<std::string> future = promise.get_future();
-  server_->submit(std::move(*payload), [&promise](std::string reply) {
-    promise.set_value(std::move(reply));
-  });
-  stall(stall_ms);  // the queued request ages here; deadlines may expire
-  if (server_->options().workers == 0) server_->pump();
-  return encode_frame(future.get());
+  // The queued request ages in the stall; deadlines may expire.
+  return loopback_->roundtrip_frame(frame, [&] { stall(stall_ms); });
 }
 
 std::string FaultTransport::roundtrip_frame(std::string frame) {

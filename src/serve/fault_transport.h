@@ -12,8 +12,9 @@
 /// so no test ever sleeps.
 ///
 /// Two wiring modes:
-///  * over a `Server` (in-process, like `LoopbackTransport`) — supports
-///    mid-queue stalls, which is how deadline shedding is driven;
+///  * over a `Server`, through a `LoopbackTransport` that stalls between
+///    queueing and draining — mid-queue stalls are how deadline shedding
+///    is driven;
 ///  * over any raw frame exchange function (e.g. a lambda around
 ///    `TcpClientTransport::send_raw`/`read_payload`) — faults on a real
 ///    socket pair.
@@ -22,6 +23,7 @@
 #include <cstdint>
 #include <functional>
 #include <iterator>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -136,7 +138,7 @@ class FaultTransport final : public ClientTransport {
   std::string deliver(std::string frame, double stall_ms);
   void stall(double ms);
 
-  Server* server_ = nullptr;
+  std::unique_ptr<LoopbackTransport> loopback_;  ///< server mode only
   std::function<std::string(std::string)> exchange_;
   Options options_;
   Rng rng_;

@@ -14,11 +14,21 @@
 /// entire socket layer (the epoll loop, framing, ordered replies,
 /// in-flight caps, watermarks, timeouts) is reused verbatim by the cluster
 /// routing tier.
+///
+/// The two answers every sink gives to bytes that are not a request live
+/// here too, once: `parse_or_refuse` for a frame whose payload does not
+/// parse, and `refuse_bad_frame` for bytes that never decoded into a frame
+/// at all. Both record through `FrameSink::record_bad_frame`.
 #pragma once
 
 #include <cstddef>
 #include <functional>
+#include <optional>
 #include <string>
+#include <string_view>
+#include <utility>
+
+#include "serve/protocol.h"
 
 namespace abp::serve {
 
@@ -53,5 +63,32 @@ class FrameSink {
   /// drain their queue here; asynchronous sinks ignore it.
   virtual void pump_ready() {}
 };
+
+/// The front door's parse step: the request `payload` encodes, or nullopt
+/// after recording one bad frame on `sink` and answering `reply` with a
+/// `bad-request` refusal (seq 0) that carries the parser's diagnostic.
+/// `reply` is untouched when the payload parses.
+inline std::optional<Request> parse_or_refuse(
+    FrameSink& sink, std::string_view payload,
+    const std::function<void(std::string)>& reply) {
+  std::string error;
+  std::optional<Request> request = parse_request(payload, &error);
+  if (!request) {
+    sink.record_bad_frame(payload.size());
+    // Capped: the diagnostic may echo a payload line as long as the frame.
+    reply(format_response_capped(
+        refusal(0, Status::kBadRequest, std::move(error))));
+  }
+  return request;
+}
+
+/// The answer to `bytes_in` bytes that never decoded into a frame (corrupt
+/// or truncated framing): records one bad frame on `sink` and returns the
+/// `bad-request` refusal payload (seq 0) diagnosed with `message`.
+inline std::string refuse_bad_frame(FrameSink& sink, std::size_t bytes_in,
+                                    std::string message) {
+  sink.record_bad_frame(bytes_in);
+  return format_response(refusal(0, Status::kBadRequest, std::move(message)));
+}
 
 }  // namespace abp::serve

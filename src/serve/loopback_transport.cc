@@ -4,24 +4,24 @@
 
 namespace abp::serve {
 
-std::string LoopbackTransport::roundtrip_frame(const std::string& frame) {
+std::string LoopbackTransport::roundtrip_frame(
+    const std::string& frame, const std::function<void()>& before_drain) {
   // Decode exactly as a remote transport would: corrupt framing yields the
   // canonical bad-request response instead of reaching the server.
   FrameDecoder decoder;
   decoder.feed(frame);
   std::optional<std::string> payload = decoder.next();
   if (!payload) {
-    server_->record_bad_frame(frame.size());
-    Response response;
-    response.status = Status::kBadRequest;
-    response.message = decoder.corrupt() ? decoder.error() : "truncated frame";
-    return encode_frame(format_response(response));
+    return encode_frame(refuse_bad_frame(
+        *server_, frame.size(),
+        decoder.corrupt() ? decoder.error() : "truncated frame"));
   }
   std::promise<std::string> promise;
   std::future<std::string> future = promise.get_future();
   server_->submit(std::move(*payload), [&promise](std::string reply) {
     promise.set_value(std::move(reply));
   });
+  if (before_drain) before_drain();
   if (server_->options().workers == 0) server_->pump();
   return encode_frame(future.get());
 }

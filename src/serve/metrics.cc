@@ -130,7 +130,7 @@ void ServiceMetrics::add(std::uint64_t ServiceCounts::*counter,
 
 void ServiceMetrics::record(Endpoint endpoint, Status status,
                             std::size_t bytes_in, std::size_t bytes_out,
-                            double latency_us) {
+                            std::optional<double> latency_us) {
   std::lock_guard<std::mutex> lock(mu_);
   PerEndpoint& pe = per_endpoint_[endpoint_slot(endpoint)];
   ++pe.counts.requests;
@@ -141,7 +141,7 @@ void ServiceMetrics::record(Endpoint endpoint, Status status,
   }
   pe.counts.bytes_in += bytes_in;
   pe.counts.bytes_out += bytes_out;
-  pe.latency_us.add(latency_us);
+  if (latency_us) pe.latency_us.add(*latency_us);
 }
 
 void ServiceMetrics::record_batch(std::size_t n) {

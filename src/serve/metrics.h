@@ -38,6 +38,7 @@
 #include <iterator>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <string>
 
 #include "common/metrics_snapshot.h"
@@ -93,9 +94,11 @@ class ServiceMetrics {
   void add(std::uint64_t ServiceCounts::*counter, std::uint64_t n = 1);
 
   /// Record one answered request (parse succeeded; status may be an error)
-  /// on its endpoint and on `total.*`.
+  /// on its endpoint and on `total.*`. Only a request that entered the
+  /// queue passes `latency_us`; a refusal at the door passes nullopt and
+  /// adds no latency sample, so the percentiles describe queued requests.
   void record(Endpoint endpoint, Status status, std::size_t bytes_in,
-              std::size_t bytes_out, double latency_us);
+              std::size_t bytes_out, std::optional<double> latency_us);
   /// Record one executed batch of `n` requests, each of them completed.
   void record_batch(std::size_t n);
   /// Record one parse-ok submission, attributed to its principal.

@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <iterator>
+#include <utility>
 
 namespace abp::serve {
 
@@ -541,14 +542,22 @@ std::optional<Response> parse_response(std::string_view payload,
 std::string format_response_capped(const Response& response) {
   std::string payload = format_response(response);
   if (payload.size() > kMaxFramePayload) {
-    Response error;
-    error.seq = response.seq;
-    error.status = Status::kInternal;
-    error.message = "response payload exceeds the " +
-                    std::to_string(kMaxFramePayload) + "-byte frame cap";
-    payload = format_response(error);
+    payload = format_response(refusal(response.seq, Status::kInternal,
+                                      "response payload exceeds the " +
+                                          std::to_string(kMaxFramePayload) +
+                                          "-byte frame cap"));
   }
   return payload;
+}
+
+Response refusal(std::uint64_t seq, Status status, std::string message,
+                 std::uint32_t retry_after_ms) {
+  Response response;
+  response.seq = seq;
+  response.status = status;
+  response.message = std::move(message);
+  response.retry_after_ms = retry_after_ms;
+  return response;
 }
 
 std::string encode_frame(std::string_view payload) {

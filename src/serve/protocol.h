@@ -267,6 +267,13 @@ std::string format_response(const Response& response);
 /// so a peer never receives a frame its decoder is guaranteed to reject.
 std::string format_response_capped(const Response& response);
 
+/// The one refusal builder: a response answering `seq` with the non-ok
+/// `status`, the one-line diagnostic `message`, and `retry_after_ms` as its
+/// `retry-after` hint (0 = none). The front doors of `Server` and
+/// `cluster::Router` and the service's handlers all refuse through it.
+Response refusal(std::uint64_t seq, Status status, std::string message,
+                 std::uint32_t retry_after_ms = 0);
+
 /// Parse payload text. On failure returns nullopt and, if `error` is
 /// non-null, stores a one-line diagnostic. Never throws on untrusted bytes.
 std::optional<Request> parse_request(std::string_view payload,

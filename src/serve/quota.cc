@@ -45,4 +45,13 @@ std::size_t PrincipalQuotas::principals() const {
   return buckets_.size();
 }
 
+Response quota_refusal(const Request& request,
+                       const PrincipalQuotas::Decision& decision) {
+  return refusal(request.seq, Status::kOverloaded,
+                 "quota exceeded for principal " +
+                     std::to_string(request.principal) +
+                     "; retry with backoff",
+                 decision.retry_after_ms);
+}
+
 }  // namespace abp::serve

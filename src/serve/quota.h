@@ -18,6 +18,8 @@
 #include <map>
 #include <mutex>
 
+#include "serve/protocol.h"
+
 namespace abp::serve {
 
 /// Quota knobs (`--quota-rps`, `--quota-burst`). Plain data so configs can
@@ -65,5 +67,11 @@ class PrincipalQuotas {
   mutable std::mutex mu_;
   std::map<std::uint64_t, Bucket> buckets_;
 };
+
+/// The one quota refusal, shared by `Server` and `cluster::Router`: a
+/// retryable `overloaded` answer to `request`, naming its principal, whose
+/// `retry-after` hint is the bucket deficit `decision` carries.
+Response quota_refusal(const Request& request,
+                       const PrincipalQuotas::Decision& decision);
 
 }  // namespace abp::serve

@@ -7,21 +7,6 @@
 
 namespace abp::serve {
 
-namespace {
-
-std::string rejection_payload(std::uint64_t seq, Status status,
-                              const std::string& message,
-                              std::uint32_t retry_after_ms = 0) {
-  Response response;
-  response.seq = seq;
-  response.status = status;
-  response.message = message;
-  if (status == Status::kOverloaded) response.retry_after_ms = retry_after_ms;
-  return format_response(response);
-}
-
-}  // namespace
-
 Server::Server(LocalizationService& service, Options options)
     : service_(service), options_(options) {
   ABP_CHECK(options_.max_batch >= 1, "max_batch must be at least 1");
@@ -40,44 +25,29 @@ double Server::now_ms() const {
   return options_.clock_ms ? options_.clock_ms() : steady_now_ms();
 }
 
-void Server::reject(const Request& request, Status status,
-                    const std::string& why, std::size_t bytes_in,
+void Server::refuse(const Request& request, std::size_t bytes_in,
+                    const Response& answer,
                     const std::function<void(std::string)>& reply) {
-  const std::string rejection = rejection_payload(
-      request.seq, status, why, options_.retry_after_hint_ms);
-  service_.metrics().record(request.endpoint, status, bytes_in,
-                            rejection.size(), 0.0);
-  service_.metrics().record_shed(status);
-  reply(rejection);
+  std::string payload = format_response_capped(answer);
+  service_.metrics().record(request.endpoint, answer.status, bytes_in,
+                            payload.size(), std::nullopt);
+  reply(std::move(payload));
 }
 
 void Server::submit(std::string payload,
                     std::function<void(std::string)> reply) {
+  std::optional<Request> request = parse_or_refuse(*this, payload, reply);
+  if (!request) return;
   const std::size_t bytes_in = payload.size();
-  std::string parse_error;
-  std::optional<Request> request = parse_request(payload, &parse_error);
-  if (!request) {
-    record_bad_frame(bytes_in);
-    reply(rejection_payload(0, Status::kBadRequest, parse_error));
-    return;
-  }
   service_.metrics().record_submitted(request->principal);
   if (quotas_) {
     const PrincipalQuotas::Decision decision =
         quotas_->admit(request->principal, now_ms());
     if (!decision.admitted) {
-      // Quota shed: retryable `overloaded` with a hint from this
-      // principal's own bucket deficit. Counts toward shed-overloaded via
-      // record_quota_shed, so admission reconciliation is unchanged.
-      const std::string rejection = rejection_payload(
-          request->seq, Status::kOverloaded,
-          "quota exceeded for principal " +
-              std::to_string(request->principal) + "; retry with backoff",
-          decision.retry_after_ms);
-      service_.metrics().record(request->endpoint, Status::kOverloaded,
-                                bytes_in, rejection.size(), 0.0);
+      // Counts toward shed-overloaded too, so admission reconciliation is
+      // unchanged by quotas.
       service_.metrics().record_quota_shed(request->principal);
-      reply(rejection);
+      refuse(*request, bytes_in, quota_refusal(*request, decision), reply);
       return;
     }
   }
@@ -102,8 +72,15 @@ void Server::submit(std::string payload,
                  ") reached; retry with backoff";
     }
   }
-  // Shed: answer immediately without entering the queue.
-  reject(*request, shed_status, shed_why, bytes_in, reply);
+  // Shed: answer immediately without entering the queue. Only `overloaded`
+  // carries the retry-after hint.
+  service_.metrics().record_shed(shed_status);
+  refuse(*request, bytes_in,
+         refusal(request->seq, shed_status, std::move(shed_why),
+                 shed_status == Status::kOverloaded
+                     ? options_.retry_after_hint_ms
+                     : 0),
+         reply);
 }
 
 void Server::record_bad_frame(std::size_t /*bytes_in*/) {
@@ -117,16 +94,15 @@ void Server::pump_ready() {
 void Server::shed_overloaded(std::string payload,
                              std::function<void(std::string)> reply,
                              const std::string& why) {
-  const std::size_t bytes_in = payload.size();
-  std::string parse_error;
-  const std::optional<Request> request = parse_request(payload, &parse_error);
-  if (!request) {
-    record_bad_frame(bytes_in);
-    reply(rejection_payload(0, Status::kBadRequest, parse_error));
-    return;
-  }
+  const std::optional<Request> request =
+      parse_or_refuse(*this, payload, reply);
+  if (!request) return;
   service_.metrics().record_submitted(request->principal);
-  reject(*request, Status::kOverloaded, why, bytes_in, reply);
+  service_.metrics().record_shed(Status::kOverloaded);
+  refuse(*request, payload.size(),
+         refusal(request->seq, Status::kOverloaded, why,
+                 options_.retry_after_hint_ms),
+         reply);
 }
 
 std::vector<Server::Pending> Server::take_batch_locked() {
@@ -182,14 +158,14 @@ void Server::run_batch(std::vector<Pending> batch) {
     const std::uint32_t deadline = pending.request.deadline_ms;
     if (deadline != 0 &&
         now - pending.arrival_ms >= static_cast<double>(deadline)) {
-      Response shed;
-      shed.seq = pending.request.seq;
-      shed.status = Status::kDeadlineExceeded;
-      shed.message = "deadline of " + std::to_string(deadline) +
-                     " ms expired before execution";
-      std::string payload = format_response(shed);
-      service_.metrics().record(pending.request.endpoint, shed.status,
-                                pending.bytes_in, payload.size(),
+      // The request entered the queue, so its wait there is a sample.
+      std::string payload = format_response(
+          refusal(pending.request.seq, Status::kDeadlineExceeded,
+                  "deadline of " + std::to_string(deadline) +
+                      " ms expired before execution"));
+      service_.metrics().record(pending.request.endpoint,
+                                Status::kDeadlineExceeded, pending.bytes_in,
+                                payload.size(),
                                 pending.timer.elapsed_ms() * 1e3);
       service_.metrics().record_shed(Status::kDeadlineExceeded);
       pending.reply(std::move(payload));

@@ -148,10 +148,12 @@ class Server : public FrameSink {
   std::vector<Pending> take_batch_locked();
   void run_batch(std::vector<Pending> batch);
   void worker_loop();
-  /// Answer a parsed request with a shed status (never enqueued) and
-  /// record both endpoint and admission metrics.
-  void reject(const Request& request, Status status, const std::string& why,
-              std::size_t bytes_in,
+  /// The exit of a request refused at the door (quota, queue full,
+  /// shutdown, in-flight cap; never enqueued): count it on its endpoint,
+  /// without a latency sample, and reply with `answer`. The caller counts
+  /// the shed cause.
+  void refuse(const Request& request, std::size_t bytes_in,
+              const Response& answer,
               const std::function<void(std::string)>& reply);
 
   LocalizationService& service_;

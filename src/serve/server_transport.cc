@@ -112,8 +112,6 @@ void ServerTransport::install(Shard& shard, int fd, std::uint64_t id) {
   }
   Connection::Limits limits;
   limits.max_inflight = options_.max_inflight;
-  limits.write_high_watermark = options_.write_high_watermark;
-  limits.write_low_watermark = options_.write_low_watermark;
   // The wake (fired by whichever worker thread completes a reply) only
   // posts back to the owning loop; the weak loop pointer makes a late wake
   // after transport teardown a no-op instead of a use-after-free.

@@ -67,10 +67,6 @@ struct TransportOptions {
   /// 0 = unbounded. Excess frames are shed with retryable `overloaded`.
   std::size_t max_inflight = 0;
   std::size_t event_shards = 1;  ///< independent event loops
-  /// Write-queue watermarks (bytes): reading from a peer pauses above the
-  /// high mark and resumes under the low mark.
-  std::size_t write_high_watermark = 1u << 20;
-  std::size_t write_low_watermark = 256u << 10;
 };
 
 class ServerTransport {

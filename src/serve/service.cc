@@ -18,13 +18,33 @@ namespace abp::serve {
 
 namespace {
 
-Response error_response(const Request& request, Status status,
-                        std::string message) {
-  Response response;
-  response.seq = request.seq;
-  response.status = status;
-  response.message = std::move(message);
-  return response;
+/// The point queries `localize` and `error-at` share: the whole request
+/// resolves in one batched kernel call against the deployment's cached
+/// field snapshot, and a point that hears no beacon takes `fallback` (the
+/// field's active centroid) as its estimate. `localize` answers each
+/// estimate, `error-at` its distance to the point.
+void answer_points(const SurveyKernel& kernel, Vec2 fallback,
+                   const Request& request, Response& response) {
+  SurveyBatch batch;
+  batch.reserve(request.points.size());
+  for (const Vec2 p : request.points) batch.push(p);
+  kernel.evaluate(batch);
+  const bool localize = request.endpoint == Endpoint::kLocalize;
+  if (localize) {
+    response.estimates.reserve(batch.size());
+  } else {
+    response.errors.reserve(batch.size());
+  }
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    const ConnectedSum cs = batch.result(i);
+    const Vec2 est =
+        cs.count == 0 ? fallback : cs.sum / static_cast<double>(cs.count);
+    if (localize) {
+      response.estimates.push_back({est, static_cast<std::uint32_t>(cs.count)});
+    } else {
+      response.errors.push_back(distance(est, batch.point(i)));
+    }
+  }
 }
 
 const PlacementAlgorithm* algorithm_by_name(const std::string& name) {
@@ -151,8 +171,8 @@ Response LocalizationService::handle(const Request& request) {
   if (request.endpoint == Endpoint::kAdmin) {
     // Membership is a router concern; a direct server has no table to
     // mutate. Terminal bad-request, never retryable.
-    return error_response(request, Status::kBadRequest,
-                          "admin is a router-only endpoint");
+    return refusal(request.seq, Status::kBadRequest,
+                   "admin is a router-only endpoint");
   }
   if (request.endpoint == Endpoint::kSnapshot && !request.text.empty()) {
     return install_snapshot(request);
@@ -176,13 +196,11 @@ Response LocalizationService::handle(const Request& request) {
       // A mutation for a deployment this replica has never seen: answer the
       // retryable mismatch (at version 0) so the sender's install-then-retry
       // repair path ships a full snapshot first.
-      Response mismatch = error_response(
-          request, Status::kVersionMismatch,
-          "mutate for unknown field: " + request.field);
-      return mismatch;
+      return refusal(request.seq, Status::kVersionMismatch,
+                     "mutate for unknown field: " + request.field);
     }
-    return error_response(request, Status::kNotFound,
-                          "unknown field: " + request.field);
+    return refusal(request.seq, Status::kNotFound,
+                   "unknown field: " + request.field);
   }
   return handle_field_request(*deployment, request);
 }
@@ -196,8 +214,8 @@ Response LocalizationService::handle_field_request(Deployment& deployment,
 Response LocalizationService::handle_locked(Deployment& deployment,
                                             const Request& request) {
   if (request.points.size() > kMaxPointsPerRequest) {
-    return error_response(request, Status::kBadRequest,
-                          "too many points in one request");
+    return refusal(request.seq, Status::kBadRequest,
+                   "too many points in one request");
   }
   // Version-fenced mutation: handled before the read fence because a mutate
   // carries the version it *establishes*, not the version it expects.
@@ -211,8 +229,8 @@ Response LocalizationService::handle_locked(Deployment& deployment,
   // replica answers the retryable mismatch (the router re-syncs the
   // deployment and re-sends).
   if (request.version != 0 && deployment.version < request.version) {
-    Response mismatch = error_response(
-        request, Status::kVersionMismatch,
+    Response mismatch = refusal(
+        request.seq, Status::kVersionMismatch,
         "deployment '" + request.field + "' is at version " +
             std::to_string(deployment.version) + ", request expects " +
             std::to_string(request.version));
@@ -223,54 +241,22 @@ Response LocalizationService::handle_locked(Deployment& deployment,
   response.seq = request.seq;
   try {
     switch (request.endpoint) {
-      case Endpoint::kLocalize: {
-        // The whole request resolves in one batched kernel call against the
-        // deployment's cached field snapshot.
-        const SurveyKernel& kernel = deployment.localizer.kernel();
-        SurveyBatch batch;
-        batch.reserve(request.points.size());
-        for (const Vec2 p : request.points) batch.push(p);
-        kernel.evaluate(batch);
-        const Vec2 fallback = deployment.field.active_centroid();
-        response.estimates.reserve(request.points.size());
-        for (std::size_t i = 0; i < batch.size(); ++i) {
-          const ConnectedSum cs = batch.result(i);
-          const Vec2 est = cs.count == 0
-                               ? fallback
-                               : cs.sum / static_cast<double>(cs.count);
-          response.estimates.push_back(
-              {est, static_cast<std::uint32_t>(cs.count)});
-        }
+      case Endpoint::kLocalize:
+      case Endpoint::kErrorAt:
+        answer_points(deployment.localizer.kernel(),
+                      deployment.field.active_centroid(), request, response);
         break;
-      }
-      case Endpoint::kErrorAt: {
-        const SurveyKernel& kernel = deployment.localizer.kernel();
-        SurveyBatch batch;
-        batch.reserve(request.points.size());
-        for (const Vec2 p : request.points) batch.push(p);
-        kernel.evaluate(batch);
-        const Vec2 fallback = deployment.field.active_centroid();
-        response.errors.reserve(request.points.size());
-        for (std::size_t i = 0; i < batch.size(); ++i) {
-          const ConnectedSum cs = batch.result(i);
-          const Vec2 est = cs.count == 0
-                               ? fallback
-                               : cs.sum / static_cast<double>(cs.count);
-          response.errors.push_back(distance(est, batch.point(i)));
-        }
-        break;
-      }
       case Endpoint::kPropose: {
         const std::string name =
             request.algorithm.empty() ? "grid" : request.algorithm;
         const PlacementAlgorithm* algorithm = algorithm_by_name(name);
         if (algorithm == nullptr) {
-          return error_response(request, Status::kNotFound,
-                                "unknown algorithm: " + name);
+          return refusal(request.seq, Status::kNotFound,
+                         "unknown algorithm: " + name);
         }
         if (request.count > kMaxProposalsPerRequest) {
-          return error_response(request, Status::kBadRequest,
-                                "too many proposals in one request");
+          return refusal(request.seq, Status::kBadRequest,
+                         "too many proposals in one request");
         }
         // Propose against the current survey; successive proposals suppress
         // the previous pick's neighbourhood (one-shot batch idiom) so k
@@ -291,8 +277,8 @@ Response LocalizationService::handle_locked(Deployment& deployment,
       }
       case Endpoint::kAddBeacon: {
         if (request.points.empty()) {
-          return error_response(request, Status::kBadRequest,
-                                "add-beacon needs at least one point");
+          return refusal(request.seq, Status::kBadRequest,
+                         "add-beacon needs at least one point");
         }
         switch (deployment.dedup.verdict(request.request_id,
                                          request.attempt)) {
@@ -307,8 +293,8 @@ Response LocalizationService::handle_locked(Deployment& deployment,
           case DedupIndex::Verdict::kExpired:
             // A retry whose id may have aged out of the window: appending
             // again could double-deploy, so refuse definitively instead.
-            return error_response(request, Status::kDedupExpired,
-                                  DedupIndex::expired_message(request.field));
+            return refusal(request.seq, Status::kDedupExpired,
+                           DedupIndex::expired_message(request.field));
           case DedupIndex::Verdict::kFresh:
             apply_write_locked(deployment, request, deployment.version,
                                response);
@@ -329,11 +315,11 @@ Response LocalizationService::handle_locked(Deployment& deployment,
       case Endpoint::kVersion:
       case Endpoint::kMutate:
         // Handled before deployment lookup / before the fence; unreachable.
-        return error_response(request, Status::kInternal,
-                              "endpoint misrouted to a deployment");
+        return refusal(request.seq, Status::kInternal,
+                       "endpoint misrouted to a deployment");
     }
   } catch (const CheckFailure& e) {
-    return error_response(request, Status::kInternal, e.what());
+    return refusal(request.seq, Status::kInternal, e.what());
   }
   return response;
 }
@@ -341,12 +327,12 @@ Response LocalizationService::handle_locked(Deployment& deployment,
 Response LocalizationService::apply_mutation_locked(Deployment& deployment,
                                                     const Request& request) {
   if (request.version == 0) {
-    return error_response(request, Status::kBadRequest,
-                          "mutate requires the version it establishes");
+    return refusal(request.seq, Status::kBadRequest,
+                   "mutate requires the version it establishes");
   }
   if (request.points.empty()) {
-    return error_response(request, Status::kBadRequest,
-                          "mutate needs at least one point");
+    return refusal(request.seq, Status::kBadRequest,
+                   "mutate needs at least one point");
   }
   Response response;
   response.seq = request.seq;
@@ -362,8 +348,8 @@ Response LocalizationService::apply_mutation_locked(Deployment& deployment,
     // Lagging: this replica is missing at least one earlier mutation. The
     // retryable mismatch (carrying the held version) routes the sender into
     // the install-then-retry / replay repair path.
-    Response mismatch = error_response(
-        request, Status::kVersionMismatch,
+    Response mismatch = refusal(
+        request.seq, Status::kVersionMismatch,
         "deployment '" + request.field + "' is at version " +
             std::to_string(deployment.version) + ", mutation establishes " +
             std::to_string(request.version));
@@ -378,7 +364,7 @@ Response LocalizationService::apply_mutation_locked(Deployment& deployment,
   try {
     apply_write_locked(deployment, request, request.version, response);
   } catch (const CheckFailure& e) {
-    return error_response(request, Status::kInternal, e.what());
+    return refusal(request.seq, Status::kInternal, e.what());
   }
   deployment.version = request.version;
   response.version = request.version;
@@ -414,9 +400,9 @@ Response LocalizationService::install_snapshot(const Request& request) {
     std::istringstream is(request.text);
     parsed = read_field(is);
   } catch (const CheckFailure& e) {
-    return error_response(request, Status::kBadRequest,
-                          std::string("snapshot install rejected: ") +
-                              e.what());
+    return refusal(request.seq, Status::kBadRequest,
+                   std::string("snapshot install rejected: ") +
+                       e.what());
   }
   const std::uint64_t seed =
       derive_seed(config_.seed, name_seed(request.field));
@@ -475,7 +461,7 @@ Response LocalizationService::install_snapshot(const Request& request) {
     // ambiguous (same rule as the fresh-install path above).
     deployment.dedup.reset(request.version <= 1);
   } catch (const CheckFailure& e) {
-    return error_response(request, Status::kInternal, e.what());
+    return refusal(request.seq, Status::kInternal, e.what());
   }
   Response response;
   response.seq = request.seq;

@@ -60,7 +60,10 @@ class LoopbackTransport final : public ClientTransport {
   /// Raw frame exchange (malformed-input testing): returns the encoded
   /// response frame, mirroring what a server-side transport emits for the
   /// given bytes — including the bad-request frame for corrupt framing.
-  std::string roundtrip_frame(const std::string& frame);
+  /// `before_drain`, when set, runs after the request is queued and before
+  /// the server drains it (the fault transport stalls there).
+  std::string roundtrip_frame(const std::string& frame,
+                              const std::function<void()>& before_drain = {});
 
   /// Submit without waiting; with a threaded server the reply callback runs
   /// on a worker thread, with a manual server it runs inside `flush()`.

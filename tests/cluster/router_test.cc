@@ -632,6 +632,49 @@ TEST(Router, SnapshotExposesCacheFilterAndPrincipalCounters) {
   EXPECT_EQ(cluster.metrics.render_text(), snap.render_text());
 }
 
+TEST(Router, EveryLocalAnswerCountsOnce) {
+  // One retained log entry: the first write's id ages out when the second
+  // appends, so its retry is answered dedup-expired.
+  ClusterSim cluster({"b1"}, /*replication=*/1, {}, {}, /*log_retain=*/1);
+  cluster.replicator->set_deployment("default", field_text());
+  ASSERT_EQ(cluster.replicator->sync_all(), 1u);
+  for (std::uint64_t id = 1; id <= 2; ++id) {
+    serve::Request add = add_beacon_request(id, {{double(id), 1}});
+    add.request_id = 500 + id;
+    ASSERT_EQ(serve::parse_response(cluster.call(add))->status,
+              serve::Status::kOk);
+  }
+
+  serve::Request too_many = add_beacon_request(4);
+  too_many.points.assign(serve::kMaxPointsPerRequest + 1, Vec2{1, 1});
+  serve::Request acked_retry = add_beacon_request(5, {{2, 1}});
+  acked_retry.request_id = 502;
+  acked_retry.attempt = 1;
+  serve::Request expired_retry = add_beacon_request(6, {{1, 1}});
+  expired_retry.request_id = 501;
+  expired_retry.attempt = 1;
+  const std::pair<serve::Request, serve::Status> cases[] = {
+      {add_beacon_request(3, {}), serve::Status::kBadRequest},
+      {too_many, serve::Status::kBadRequest},
+      {acked_retry, serve::Status::kOk},
+      {expired_retry, serve::Status::kDedupExpired},
+  };
+  for (const auto& [request, status] : cases) {
+    const std::uint64_t local_before = cluster.metrics.counts().local;
+    const auto response = serve::parse_response(cluster.call(request));
+    ASSERT_TRUE(response.has_value());
+    EXPECT_EQ(response->status, status) << "seq " << request.seq;
+    EXPECT_EQ(cluster.metrics.counts().local, local_before + 1)
+        << "seq " << request.seq;
+  }
+
+  const serve::RouterCounts counts = cluster.metrics.counts();
+  EXPECT_EQ(counts.received, 6u);
+  EXPECT_EQ(counts.local, 4u);
+  EXPECT_EQ(counts.writes, 2u);
+  EXPECT_EQ(counts.received, counts.local + counts.forwarded + counts.writes);
+}
+
 TEST(Router, StatsBodyIsPinnedLineByLine) {
   RouterOptions options;
   options.quota.rps = 1.0;  // the clock never moves, so no bucket refills
@@ -690,7 +733,7 @@ backend.b1.probe-failures 0
 backend.b1.marked-down 0
 backend.b1.recovered 0
 router.received 11
-router.local 7
+router.local 8
 router.forwarded 2
 router.unrouted 0
 router.filter-rejects 1

@@ -274,6 +274,20 @@ TEST(Histogram, SingleSamplePercentilesCollapseToIt) {
   EXPECT_DOUBLE_EQ(h.p99(), 42.0);
 }
 
+TEST(Histogram, ZeroMinimumInterpolatesToAFinitePercentile) {
+  // Bucket 0 starts at the observed minimum 0, where geometric
+  // interpolation would compute 0 * inf.
+  Histogram h = Histogram::latency_us();
+  for (int i = 0; i < 7; ++i) h.add(0.0);
+  for (int i = 0; i < 3; ++i) h.add(50.0);
+  const double p50 = h.p50();
+  EXPECT_TRUE(std::isfinite(p50));
+  EXPECT_GE(p50, 0.0);
+  EXPECT_LE(p50, 50.0);
+  EXPECT_TRUE(std::isfinite(h.p95()));
+  EXPECT_TRUE(std::isfinite(h.p99()));
+}
+
 TEST(Histogram, PercentilesAreMonotoneAndClampedToObservedRange) {
   Histogram h = Histogram::latency_us();
   Rng rng(11);

@@ -440,6 +440,31 @@ TEST(Server, LoopbackFrameExchangeRejectsCorruptFrames) {
   EXPECT_EQ(service.metrics().counts().bad_frames, 1u);
 }
 
+TEST(Server, RefusalsAtTheDoorAddNoLatencySample) {
+  LocalizationService service(test_config());
+  service.add_field("default", make_field());
+  Server::Options options;
+  options.quota.rps = 1.0;
+  options.quota.burst = 3.0;
+  options.clock_ms = [] { return 0.0; };  // the bucket never refills
+  Server server(service, options);
+  LoopbackTransport transport(server);
+
+  for (std::uint64_t seq = 1; seq <= 10; ++seq) {
+    (void)transport.roundtrip_frame(
+        encode_frame(format_request(localize_request(seq, {12, 12}))));
+  }
+  const EndpointSnapshot snap =
+      service.metrics().endpoint_snapshot(Endpoint::kLocalize);
+  EXPECT_EQ(snap.requests, 10u);
+  EXPECT_EQ(snap.errors, 7u);
+  EXPECT_EQ(snap.latency_samples, 3u) << "only the admitted three";
+  EXPECT_EQ(service.metrics().quota_sheds(), 7u);
+  const std::string text = service.metrics().render_text();
+  EXPECT_EQ(text.find("nan"), std::string::npos) << text;
+  EXPECT_NE(text.find("endpoint.localize.requests 10\n"), std::string::npos);
+}
+
 /// The stats body with every wall-clock latency gauge masked: the
 /// `p50us`/`p95us`/`p99us` values depend on timing, every other byte is
 /// fixed by the script that produced it.

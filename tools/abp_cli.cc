@@ -390,12 +390,9 @@ std::size_t serve_oneshot(serve::Server& server, std::istream& in,
     ++served;
   }
   if (decoder.corrupt() || decoder.buffered() > 0) {
-    server.record_bad_frame(decoder.buffered());
-    serve::Response rejection;
-    rejection.status = serve::Status::kBadRequest;
-    rejection.message =
-        decoder.corrupt() ? decoder.error() : "truncated trailing frame";
-    out << serve::encode_frame(serve::format_response(rejection));
+    out << serve::encode_frame(serve::refuse_bad_frame(
+        server, decoder.buffered(),
+        decoder.corrupt() ? decoder.error() : "truncated trailing frame"));
     ++served;
   }
   return served;
