@@ -8,7 +8,7 @@
 /// not just the localization pass. `items_processed` is requests, so
 /// benchmark output reports queries/sec directly — the batched
 /// configurations must beat batch=1 because B queued queries share one
-/// deployment-lock acquisition and one spatial-index walk.
+/// queue take, one deployment lookup and one read-view load.
 /// `BM_TcpConnectionScaling` extends the grid over real TCP: N pipelined
 /// connections (window 4 each) against the epoll server transport, showing
 /// goodput as connections grow. All load generation goes through the
@@ -90,8 +90,9 @@ void BM_ServeThroughput(benchmark::State& state) {
                                 static_cast<double>(counts.batches);
 }
 
-// The grid the issue asks for: batch size 1, 8, 64 × workers 1, 4 — plus
-// the manual-mode row (workers 0) that isolates batching from threading.
+// Batch size 1, 8, 64 × workers 1, 4, with 2 workers at batch 1 and 64 to
+// show how throughput scales with workers — plus the manual-mode rows
+// (workers 0) that isolate batching from threading.
 BENCHMARK(BM_ServeThroughput)
     ->ArgNames({"batch", "workers"})
     ->Args({1, 0})
@@ -100,6 +101,8 @@ BENCHMARK(BM_ServeThroughput)
     ->Args({1, 1})
     ->Args({8, 1})
     ->Args({64, 1})
+    ->Args({1, 2})
+    ->Args({64, 2})
     ->Args({1, 4})
     ->Args({8, 4})
     ->Args({64, 4})

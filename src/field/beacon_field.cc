@@ -1,22 +1,11 @@
 #include "field/beacon_field.h"
 
-#include <atomic>
-
 #include "common/assert.h"
 
 namespace abp {
 
-namespace {
-// Process-wide revision allocator: every mutation of every field draws a
-// fresh stamp, so no two distinct field states ever share a revision.
-std::uint64_t next_revision() {
-  static std::atomic<std::uint64_t> counter{0};
-  return counter.fetch_add(1, std::memory_order_relaxed) + 1;
-}
-}  // namespace
-
 BeaconField::BeaconField(AABB bounds, double index_cell)
-    : bounds_(bounds), index_(index_cell), revision_(next_revision()) {}
+    : bounds_(bounds), index_(index_cell) {}
 
 BeaconId BeaconField::add(Vec2 pos) {
   return add_with_id(static_cast<BeaconId>(slots_.size()), pos, true);
@@ -33,7 +22,6 @@ BeaconId BeaconField::add_with_id(BeaconId id, Vec2 pos, bool active) {
     ++active_;
     active_sum_ += pos;
   }
-  revision_ = next_revision();
   return id;
 }
 
@@ -47,7 +35,6 @@ bool BeaconField::remove(BeaconId id) {
   }
   slot.live = false;
   --live_;
-  revision_ = next_revision();
   return true;
 }
 
@@ -65,7 +52,6 @@ bool BeaconField::set_active(BeaconId id, bool active) {
     --active_;
     active_sum_ -= slot.beacon.pos;
   }
-  revision_ = next_revision();
   return true;
 }
 

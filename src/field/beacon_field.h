@@ -74,14 +74,6 @@ class BeaconField {
   /// Ids of all live active beacons (ascending).
   std::vector<BeaconId> active_ids() const;
 
-  /// Monotonic mutation stamp, unique across every `BeaconField` in the
-  /// process: any `add`/`remove`/`set_active` assigns a revision no other
-  /// field state has ever had. Two fields with equal revisions therefore
-  /// hold identical beacon sets (one is an unmutated copy of the other),
-  /// which is what lets derived snapshots (`SurveyKernel`) detect
-  /// staleness in O(1) — including across whole-field reassignment.
-  std::uint64_t revision() const { return revision_; }
-
  private:
   struct Slot {
     Beacon beacon;
@@ -95,7 +87,6 @@ class BeaconField {
   std::size_t active_ = 0;
   // Running sum of active positions for O(1) centroid.
   Vec2 active_sum_;
-  std::uint64_t revision_;
 };
 
 }  // namespace abp

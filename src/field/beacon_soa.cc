@@ -15,7 +15,6 @@ BeaconSoA BeaconSoA::snapshot(const BeaconField& field) {
     out.xs.push_back(b.pos.x);
     out.ys.push_back(b.pos.y);
   });
-  out.revision = field.revision();
   return out;
 }
 

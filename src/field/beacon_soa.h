@@ -23,8 +23,6 @@ struct BeaconSoA {
   std::vector<BeaconId> ids;
   std::vector<double> xs;
   std::vector<double> ys;
-  /// `BeaconField::revision()` at snapshot time (staleness detection).
-  std::uint64_t revision = 0;
 
   std::size_t size() const { return ids.size(); }
   bool empty() const { return ids.empty(); }

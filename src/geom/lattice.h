@@ -21,13 +21,24 @@ namespace abp {
 
 class Lattice2D {
  public:
+  /// Most points a lattice may have. Bounds and steps can come from
+  /// untrusted input (field and survey files, snapshot installs), and each
+  /// lattice backs dense grids, so a larger one is refused before anything
+  /// is allocated.
+  static constexpr std::size_t kMaxPoints = std::size_t{1} << 24;
+
   /// Lattice over `bounds` with spacing `step`; `bounds` extents must be
   /// (near-)integral multiples of `step`, matching the paper's geometry.
   Lattice2D(const AABB& bounds, double step)
       : bounds_(bounds), step_(step) {
     ABP_CHECK(step > 0.0, "lattice step must be positive");
-    nx_ = static_cast<std::size_t>(std::llround(bounds.width() / step)) + 1;
-    ny_ = static_cast<std::size_t>(std::llround(bounds.height() / step)) + 1;
+    // Counted in double, so no extent/step ratio can overflow a size_t.
+    const double nx = std::round(bounds.width() / step) + 1.0;
+    const double ny = std::round(bounds.height() / step) + 1.0;
+    ABP_CHECK(nx * ny <= static_cast<double>(kMaxPoints),
+              "lattice too large (bounds/step mismatch)");
+    nx_ = static_cast<std::size_t>(nx);
+    ny_ = static_cast<std::size_t>(ny);
     ABP_CHECK(nx_ >= 2 && ny_ >= 2, "lattice too small");
   }
 

@@ -11,11 +11,11 @@ namespace abp {
 
 namespace {
 
-// Hostile-input ceilings: ids drive a slot-vector resize and the lattice
-// drives two dense grids, so absurd values must be rejected before any
-// allocation happens. The id cap matches the writer's runaway-scan guard.
+// Hostile-input ceiling: ids drive a slot-vector resize, so absurd values
+// must be rejected before any allocation happens (`Lattice2D` caps the
+// lattice a survey's bounds and step ask for). The id cap matches the
+// writer's runaway-scan guard.
 constexpr BeaconId kMaxBeaconId = 100000000u;
-constexpr std::size_t kMaxLatticePoints = 1u << 24;
 
 void write_double(std::ostream& out, double v) {
   char buf[64];
@@ -185,17 +185,9 @@ SurveyData read_survey(std::istream& in) {
   }
   finite_or_throw(step, step_line);
   if (step <= 0.0) malformed("step must be positive: " + step_line);
-  // Reject lattices that would exhaust memory before allocating the grids.
-  const double nx = std::floor(bounds.width() / step) + 1.0;
-  const double ny = std::floor(bounds.height() / step) + 1.0;
-  if (nx * ny > static_cast<double>(kMaxLatticePoints)) {
-    malformed("survey lattice too large (bounds/step mismatch)");
-  }
   SurveyData survey = [&] {
     try {
       return SurveyData{Lattice2D(bounds, step)};
-    } catch (const IoError&) {
-      throw;
     } catch (const CheckFailure& e) {
       malformed(std::string("invalid survey geometry: ") + e.what());
     }

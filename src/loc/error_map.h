@@ -34,8 +34,9 @@
 /// Each method has two forms: the `(field, model)` form snapshots a one-shot
 /// kernel, and the `(field, kernel)` form takes a caller-held kernel so hot
 /// loops (placement search, serving) amortize the snapshot. The kernel must
-/// be a snapshot of `field`'s current revision, and an update assumes the
-/// map reflects the field and model as they were just before the change.
+/// be a snapshot of `field` as it is now (taken after the change, for an
+/// update), and an update assumes the map reflects the field and model as
+/// they were just before the change.
 #pragma once
 
 #include <span>

@@ -2,18 +2,9 @@
 
 namespace abp {
 
-const SurveyKernel& CentroidLocalizer::kernel() const {
-  if (!kernel_ || kernel_->revision() != field_->revision()) {
-    kernel_.emplace(*field_, *model_);
-  }
-  return *kernel_;
-}
-
 LocalizationResult CentroidLocalizer::localize(Vec2 point) const {
-  const ConnectedSum cs = kernel().evaluate_point(point);
-  if (cs.count == 0) {
-    return {field_->active_centroid(), 0};
-  }
+  const ConnectedSum cs = kernel_.evaluate_point(point);
+  if (cs.count == 0) return {fallback_, 0};
   return {cs.sum / static_cast<double>(cs.count), cs.count};
 }
 

@@ -12,8 +12,6 @@
 /// interpretation table in DESIGN.md.
 #pragma once
 
-#include <optional>
-
 #include "field/beacon_field.h"
 #include "loc/survey_kernel.h"
 #include "radio/propagation.h"
@@ -26,16 +24,15 @@ struct LocalizationResult {
   std::size_t connected = 0;  ///< number of beacons heard
 };
 
-/// Live view over a field: observes every mutation. Internally the
-/// localizer memoizes a `SurveyKernel` snapshot and rebuilds it whenever
-/// `BeaconField::revision()` moves, so repeated queries against an
-/// unchanged field pay the snapshot cost once. The cache makes the
-/// localizer single-threaded per instance (like the field it watches);
-/// concurrent readers each hold their own localizer or kernel.
+/// Snapshot of a field: the survey kernel and the fallback centroid are
+/// taken at construction, so queries pay the snapshot cost once and later
+/// mutations of the field are not seen — build a new localizer after
+/// changing it. The model must outlive the localizer. Immutable, so
+/// concurrent const calls are safe.
 class CentroidLocalizer {
  public:
   CentroidLocalizer(const BeaconField& field, const PropagationModel& model)
-      : field_(&field), model_(&model) {}
+      : kernel_(field, model), fallback_(field.active_centroid()) {}
 
   /// Estimate the position of a client whose true position is `point`.
   LocalizationResult localize(Vec2 point) const;
@@ -45,19 +42,9 @@ class CentroidLocalizer {
     return distance(localize(point).estimate, point);
   }
 
-  /// The memoized kernel for the field's current revision. Callers with
-  /// many points per field state should evaluate them against this instead
-  /// of looping `localize`: a `SurveyBatch` for arbitrary points, or
-  /// `evaluate_lattice` for a lattice.
-  const SurveyKernel& kernel() const;
-
-  const BeaconField& field() const { return *field_; }
-  const PropagationModel& model() const { return *model_; }
-
  private:
-  const BeaconField* field_;
-  const PropagationModel* model_;
-  mutable std::optional<SurveyKernel> kernel_;
+  SurveyKernel kernel_;
+  Vec2 fallback_;  ///< the field's active centroid
 };
 
 }  // namespace abp

@@ -96,8 +96,10 @@ struct SurveyBatch {
 /// virtual `PropagationModel::connected` per (point, beacon) — still
 /// batched, still ascending-id, still bit-identical to the scalar API.
 ///
-/// The kernel snapshots the field at construction; it does not observe
-/// later mutations (use `BeaconField::revision()` to detect staleness).
+/// The kernel snapshots the field at construction and does not observe
+/// later mutations: after changing the field, build a new kernel. It holds
+/// the model by pointer, so the model must outlive it. Immutable, so
+/// concurrent const calls are safe.
 class SurveyKernel {
  public:
   SurveyKernel(const BeaconField& field, const PropagationModel& model);
@@ -138,8 +140,6 @@ class SurveyKernel {
 
   const BeaconSoA& soa() const { return soa_; }
   const PropagationModel& model() const { return *model_; }
-  /// Field revision the snapshot was taken at.
-  std::uint64_t revision() const { return soa_.revision; }
   /// True when the model hit the precomputed (non-virtual) fast path.
   bool fast_path() const { return fast_.has_value(); }
 

@@ -6,10 +6,7 @@ namespace abp {
 
 Surveyor::Surveyor(const BeaconField& field, const PropagationModel& model,
                    SurveyorConfig config)
-    : field_(&field),
-      model_(&model),
-      localizer_(field, model),
-      config_(config) {}
+    : localizer_(field, model), config_(config) {}
 
 double Surveyor::measure_point(const Lattice2D& lattice, std::size_t flat,
                                Rng& rng) const {

@@ -31,6 +31,7 @@ struct SurveyorConfig {
 
 class Surveyor {
  public:
+  /// Snapshots `field`; `model` must outlive the surveyor.
   Surveyor(const BeaconField& field, const PropagationModel& model,
            SurveyorConfig config = {});
 
@@ -49,11 +50,9 @@ class Surveyor {
   SurveyData survey_complete(const Lattice2D& lattice, Rng& rng) const;
 
  private:
-  const BeaconField* field_;
-  const PropagationModel* model_;
-  /// Lives as long as the surveyor so the field snapshot inside its kernel
-  /// is reused across measurements (rebuilt only when the field mutates
-  /// between calls — e.g. the adaptive explorer deploying mid-tour).
+  /// Snapshots the field at construction and is reused across
+  /// measurements, so build the surveyor once the field is deployed: no
+  /// tour (the adaptive explorer's included) mutates it.
   CentroidLocalizer localizer_;
   SurveyorConfig config_;
 };

@@ -5,8 +5,9 @@
 /// queues, coalesces and executes them, then hands encoded response
 /// payloads back through a per-request callback. Batching is the core
 /// throughput mechanism: up to `max_batch` queued point queries against the
-/// same deployment execute under one lock acquisition in one pass over the
-/// spatial index (see `LocalizationService::handle_batch`).
+/// same deployment share one deployment lookup and one load of its
+/// published read view, and each then runs in one kernel call over its
+/// points (see `LocalizationService::handle_batch`).
 ///
 /// Two execution modes share the same queue and batching logic:
 ///  * `workers == 0` — manual mode: requests queue until `pump()` drains

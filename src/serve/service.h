@@ -5,11 +5,14 @@
 /// This is the serving-side counterpart of the batch reproduction: the same
 /// substrate (centroid localization over a spatially indexed field, the
 /// incremental error map, the §3.2 placement algorithms) behind a
-/// request/response API. Each named deployment owns its field, propagation
-/// model, lattice and error map under one mutex; point queries
-/// (localize / error-at) against the same deployment can be executed as one
-/// batch that takes the lock once and then evaluates each request's points
-/// in one kernel call — the amortization `Server` exploits for throughput.
+/// request/response API. Each named deployment keeps its mutable state
+/// (field, error map, `propose` RNG, version, dedup index) under one mutex,
+/// which writes, `propose` and `snapshot` take. After every write it
+/// publishes an immutable read view: the field's survey kernel, its
+/// fallback centroid and its version. `localize`, `error-at` and `version`
+/// answer from the last published view without the deployment mutex, so
+/// reads never wait behind a write; a batch of point queries against one
+/// deployment loads the view once (DESIGN.md §15).
 #pragma once
 
 #include <cstdint>
@@ -55,7 +58,8 @@ class LocalizationService {
   /// error map — O(lattice · beacons-in-range) once per install. `version`
   /// tags the deployment for cluster replication; 0 (the default) means
   /// unversioned — version records never appear on the wire and requests
-  /// are never version-checked.
+  /// are never version-checked. Throws `CheckFailure` on an invalid name or
+  /// a field whose lattice cannot be built, leaving the service unchanged.
   void add_field(const std::string& name, BeaconField field,
                  std::uint64_t version = 0);
 
@@ -68,10 +72,10 @@ class LocalizationService {
   Response handle(const Request& request);
 
   /// Handle point-query requests (localize / error-at) that all target the
-  /// same deployment: the deployment lock is taken once, and each request
-  /// is then evaluated on its own, in one kernel call over its points.
-  /// Responses are returned in request order. Non-point-query requests fall
-  /// back to `handle` individually.
+  /// same deployment: its read view is loaded once, and each request is
+  /// then evaluated on its own, in one kernel call over its points.
+  /// Responses are returned in request order. Other requests fall back to
+  /// `handle` individually.
   std::vector<Response> handle_batch(std::span<const Request> requests);
 
   ServiceMetrics& metrics() { return metrics_; }
@@ -81,23 +85,37 @@ class LocalizationService {
   struct Deployment;
 
   Deployment* find_deployment(const std::string& name) const;
-  Response handle_field_request(Deployment& deployment, const Request& request);
+  /// The one install `add_field` and snapshot installs share. It builds the
+  /// whole next state (field, error map, RNG) before it touches anything,
+  /// so a field that cannot be served throws `CheckFailure` and changes
+  /// nothing; then it swaps that state in under the deployment's mutex,
+  /// creating the deployment if `name` is new. An install from router
+  /// `incarnation` (0 = unfenced) below the version the same incarnation
+  /// already set is skipped. Returns the version held afterwards.
+  std::uint64_t install(const std::string& name, BeaconField field,
+                        std::uint64_t version, std::uint64_t incarnation,
+                        bool dedup_complete);
+  /// Snapshot request carrying a field body: install it (replica sync).
+  Response install_snapshot(const Request& request);
+  /// Every deployment request but the point queries, under the deployment
+  /// mutex; the version fence is checked against the locked state.
   Response handle_locked(Deployment& deployment, const Request& request);
   /// Version-fenced `mutate`: apply (at exactly version-1), ack idempotently
   /// (at or past the version), or answer the retryable mismatch (lagging).
   Response apply_mutation_locked(Deployment& deployment,
                                  const Request& request);
   /// The apply `add-beacon` and `mutate` share: clamp and deploy
-  /// `request.points` into `response`, then remember that ack at `version`
-  /// under the request's id, within `dedup_window`.
+  /// `request.points` into `response`, move the deployment to `version`
+  /// and publish it, then remember that ack under the request's id, within
+  /// `dedup_window`.
   void apply_write_locked(Deployment& deployment, const Request& request,
                           std::uint64_t version, Response& response);
-  /// Snapshot request carrying a field body: install it (replica sync).
-  Response install_snapshot(const Request& request);
 
   ServiceConfig config_;
   ServiceMetrics metrics_;
-  mutable std::mutex mu_;  ///< guards the deployment map structure
+  /// Guards the deployment map. A deployment enters it published and is
+  /// never replaced or erased, so a found pointer stays valid.
+  mutable std::mutex mu_;
   std::map<std::string, std::unique_ptr<Deployment>> deployments_;
 };
 

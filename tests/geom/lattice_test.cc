@@ -206,6 +206,17 @@ TEST(Lattice, RejectsBadConstruction) {
   EXPECT_THROW(Lattice2D(AABB::square(10.0), -1.0), CheckFailure);
 }
 
+TEST(Lattice, RefusesMoreThanThePointCap) {
+  // 4096 × 4096 points is exactly the cap; one more column is over it.
+  const Lattice2D at_cap(AABB({0.0, 0.0}, {4095.0, 4095.0}), 1.0);
+  EXPECT_EQ(at_cap.size(), Lattice2D::kMaxPoints);
+  EXPECT_THROW(Lattice2D(AABB({0.0, 0.0}, {4096.0, 4095.0}), 1.0),
+               CheckFailure);
+  // Counts that would overflow or wrap a size_t product are refused too.
+  EXPECT_THROW(Lattice2D(AABB::square(1e12), 1.0), CheckFailure);
+  EXPECT_THROW(Lattice2D(AABB::square(1e300), 1e-300), CheckFailure);
+}
+
 TEST(Lattice, FractionalStepGeometry) {
   const Lattice2D l(AABB::square(1.0), 0.25);
   EXPECT_EQ(l.nx(), 5u);

@@ -281,28 +281,6 @@ TEST(SurveyKernel, HypotheticalMatchesRealAddition) {
   }
 }
 
-TEST(SurveyKernel, RevisionTracksEveryMutation) {
-  BeaconField field(AABB::square(100.0));
-  std::uint64_t rev = field.revision();
-  const BeaconId id = field.add({10.0, 10.0});
-  EXPECT_NE(field.revision(), rev);
-  rev = field.revision();
-  field.set_active(id, false);
-  EXPECT_NE(field.revision(), rev);
-  rev = field.revision();
-  field.remove(id);
-  EXPECT_NE(field.revision(), rev);
-  // Two distinct fields never share a revision.
-  const BeaconField other(AABB::square(100.0));
-  EXPECT_NE(other.revision(), field.revision());
-
-  const PerBeaconNoiseModel model(15.0, 0.3, 3);
-  const SurveyKernel kernel(field, model);
-  EXPECT_EQ(kernel.revision(), field.revision());
-  field.add({20.0, 20.0});
-  EXPECT_NE(kernel.revision(), field.revision());
-}
-
 TEST(SurveyKernel, ErrorMapBatchedEqualsDirectPerPoint) {
   const BeaconField field = make_field(30, 0xAA);
   const PerBeaconNoiseModel model(15.0, 0.3, 0xCD);

@@ -107,6 +107,39 @@ TEST(Server, NonBatchableRequestsRunIndividually) {
   EXPECT_EQ(service.metrics().batches(), 2u);
 }
 
+TEST(Server, UnbuildableInstallIsRefusedAndTheNextRequestAnswered) {
+  // A new name with a field body no lattice can be built over (bounds
+  // narrower than one step): the refusal is a reply, and serving goes on.
+  LocalizationService service(test_config());
+  service.add_field("default", make_field());
+  Server::Options options;
+  options.workers = 0;
+  Server server(service, options);
+
+  Request install;
+  install.seq = 1;
+  install.endpoint = Endpoint::kSnapshot;
+  install.field = "fresh";
+  install.text = "abp-field 1\nbounds 0 0 0 0\n";
+  install.version = 1;
+  std::vector<std::string> replies;
+  const auto collect = [&](std::string payload) {
+    replies.push_back(std::move(payload));
+  };
+  server.submit(format_request(install), collect);
+  server.submit(format_request(localize_request(2, {12, 12})), collect);
+  server.pump();
+  ASSERT_EQ(replies.size(), 2u);
+  const auto refused = parse_response(replies[0]);
+  ASSERT_TRUE(refused.has_value());
+  EXPECT_EQ(refused->seq, 1u);
+  EXPECT_EQ(refused->status, Status::kBadRequest);
+  const auto answered = parse_response(replies[1]);
+  ASSERT_TRUE(answered.has_value());
+  EXPECT_EQ(answered->status, Status::kOk) << answered->message;
+  EXPECT_EQ(answered->estimates.size(), 1u);
+}
+
 TEST(Server, MixedFieldsDoNotCoalesceAcrossDeployments) {
   LocalizationService service(test_config());
   service.add_field("alpha", make_field());

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <set>
 #include <sstream>
+#include <thread>
 
 #include "io/field_io.h"
 #include "loc/localizer.h"
@@ -508,6 +511,177 @@ TEST(Service, RejectsInvalidDeploymentName) {
   LocalizationService service(test_config());
   service.add_field("default", make_field());
   EXPECT_THROW(service.add_field("bad name", make_field()), CheckFailure);
+}
+
+/// A snapshot install of `text` into `name`.
+Request install_text_request(const std::string& name, std::string text,
+                             std::uint64_t version) {
+  Request install = install_request(version);
+  install.field = name;
+  install.text = std::move(text);
+  return install;
+}
+
+/// A field body whose bounds are narrower than one lattice step: it parses,
+/// but no lattice can be built over it.
+constexpr const char* kDegenerateField = "abp-field 1\nbounds 0 0 0 0\n";
+
+/// The wire bytes of every read of `name` a client can make.
+std::string observe(LocalizationService& service, const std::string& name) {
+  Request localize = point_request(Endpoint::kLocalize, {{12, 12}});
+  localize.field = name;
+  Request snapshot;
+  snapshot.endpoint = Endpoint::kSnapshot;
+  snapshot.field = name;
+  Request version;
+  version.endpoint = Endpoint::kVersion;
+  version.field = name;
+  return format_response(service.handle(localize)) +
+         format_response(service.handle(snapshot)) +
+         format_response(service.handle(version));
+}
+
+TEST(Service, UnbuildableInstallLeavesTheDeploymentUntouched) {
+  LocalizationService service(test_config());
+  ASSERT_EQ(service.handle(install_request(1)).status, Status::kOk);
+  ASSERT_EQ(service.handle(mutate_request(2, {{12, 14}})).status,
+            Status::kOk);
+  const std::string before = observe(service, "default");
+  const Response refused =
+      service.handle(install_text_request("default", kDegenerateField, 3));
+  EXPECT_EQ(refused.status, Status::kBadRequest);
+  EXPECT_EQ(refused.message.rfind("snapshot install rejected: ", 0), 0u)
+      << refused.message;
+  EXPECT_EQ(observe(service, "default"), before);
+  EXPECT_EQ(service.field_version("default"), 2u);
+}
+
+TEST(Service, UnbuildableInstallCreatesNoDeployment) {
+  LocalizationService service(test_config());
+  service.add_field("default", make_field());
+  const Response refused =
+      service.handle(install_text_request("fresh", kDegenerateField, 1));
+  EXPECT_EQ(refused.status, Status::kBadRequest);
+  EXPECT_EQ(refused.message.rfind("snapshot install rejected: ", 0), 0u)
+      << refused.message;
+  Request list;
+  list.endpoint = Endpoint::kListFields;
+  EXPECT_EQ(service.handle(list).text, "default\n");
+  EXPECT_EQ(service.field_version("fresh"), 0u);
+}
+
+TEST(Service, OversizedLatticeInstallIsRefusedBeforeAllocating) {
+  // 10^24 lattice points: the one lattice cap refuses it while sizing.
+  LocalizationService service(test_config());
+  service.add_field("default", make_field());
+  const std::string before = observe(service, "default");
+  for (const char* name : {"default", "fresh"}) {
+    const Response refused = service.handle(install_text_request(
+        name, "abp-field 1\nbounds 0 0 1e12 1e12\n", 5));
+    EXPECT_EQ(refused.status, Status::kBadRequest) << name;
+    EXPECT_NE(refused.message.find("too large"), std::string::npos)
+        << refused.message;
+  }
+  EXPECT_EQ(observe(service, "default"), before);
+  EXPECT_EQ(service.field_names(), std::vector<std::string>{"default"});
+}
+
+// Readers answer point queries and version probes while one writer applies
+// add-beacons, mutates and one install. Every read must be the answer of
+// some state the writes pass through, each reader's versions must never go
+// backwards, and the end state must equal a serial replay's.
+TEST(ServiceConcurrency, ReadsDuringWritesAnswerFromPublishedStates) {
+  // Twelve writes near the probes: add-beacons (at the version held)
+  // alternate with mutates (each at the next version), and the sixth write
+  // installs another field at the next version instead.
+  std::vector<Request> writes;
+  Request add = point_request(Endpoint::kAddBeacon, {});
+  add.field = "default";
+  std::uint64_t version = 1;
+  for (int k = 0; k < 12; ++k) {
+    const Vec2 near{8.0 + 3.5 * k, 8.0 + 3.0 * (k % 5)};
+    if (k % 2 == 0) {
+      add.points = {near};
+      writes.push_back(add);
+    } else if (k == 5) {
+      BeaconField replacement = make_field();
+      replacement.add({14, 14});
+      std::ostringstream text;
+      write_field(text, replacement);
+      writes.push_back(install_text_request("default", text.str(), ++version));
+    } else {
+      writes.push_back(mutate_request(++version, {near, {50, 50}}));
+    }
+  }
+  std::vector<Request> probes;
+  for (const Vec2 p : std::vector<Vec2>{{12, 12}, {20, 12}, {30, 14}}) {
+    for (const Endpoint e : {Endpoint::kLocalize, Endpoint::kErrorAt}) {
+      probes.push_back(point_request(e, {p, {p.x + 5, p.y + 3}}));
+    }
+  }
+
+  // Serial reference: each probe's answer in every state the writes reach.
+  LocalizationService reference(test_config());
+  reference.handle(install_request(1));
+  std::vector<std::set<std::string>> allowed(probes.size());
+  const auto record = [&] {
+    for (std::size_t i = 0; i < probes.size(); ++i) {
+      allowed[i].insert(format_response(reference.handle(probes[i])));
+    }
+  };
+  record();
+  for (const Request& write : writes) {
+    ASSERT_EQ(reference.handle(write).status, Status::kOk);
+    record();
+  }
+  ASSERT_GT(allowed[0].size(), 2u) << "the writes must move the answers";
+
+  LocalizationService service(test_config());
+  service.handle(install_request(1));
+  std::atomic<bool> done{false};
+  std::atomic<std::uint64_t> rounds{0};
+  std::atomic<std::uint64_t> bad_reads{0};
+  std::atomic<std::uint64_t> backward_versions{0};
+  const auto reader = [&](bool batched) {
+    Request probe;
+    probe.endpoint = Endpoint::kVersion;
+    std::uint64_t last = 0;
+    while (!done.load()) {
+      const std::uint64_t held = service.handle(probe).version;
+      if (held < last) ++backward_versions;
+      last = held;
+      std::vector<Response> answers;
+      if (batched) {
+        answers = service.handle_batch(probes);
+      } else {
+        for (const Request& r : probes) answers.push_back(service.handle(r));
+      }
+      for (std::size_t i = 0; i < probes.size(); ++i) {
+        if (allowed[i].count(format_response(answers[i])) == 0) ++bad_reads;
+      }
+      ++rounds;
+    }
+  };
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 3; ++r) readers.emplace_back(reader, r % 2 == 0);
+  for (const Request& write : writes) {
+    // Let the readers finish a few rounds against each state.
+    const std::uint64_t seen = rounds.load();
+    while (rounds.load() < seen + 3) std::this_thread::yield();
+    EXPECT_EQ(service.handle(write).status, Status::kOk);
+  }
+  const std::uint64_t seen = rounds.load();
+  while (rounds.load() < seen + 3) std::this_thread::yield();
+  done = true;
+  for (std::thread& t : readers) t.join();
+
+  EXPECT_EQ(bad_reads.load(), 0u);
+  EXPECT_EQ(backward_versions.load(), 0u);
+  EXPECT_EQ(observe(service, "default"), observe(reference, "default"));
+  for (const Request& r : probes) {
+    EXPECT_EQ(format_response(service.handle(r)),
+              format_response(reference.handle(r)));
+  }
 }
 
 }  // namespace
