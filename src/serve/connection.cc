@@ -43,16 +43,16 @@ void Connection::on_bytes(std::string_view bytes) {
       sink_->submit(std::move(*payload), std::move(reply));
     }
   }
-  if (decoder_.corrupt() && !corrupt_reported_) {
+  if (decoder_.corrupt() && !corrupt()) {
     // Framing cannot resync: answer everything already accepted, then this
     // final diagnostic (it takes the last ticket, so ordering holds), after
     // which the transport flushes and hangs up.
-    corrupt_reported_ = true;
     std::string refusal =
         refuse_bad_frame(*sink_, decoder_.buffered(), decoder_.error());
     std::uint64_t ticket = 0;
     {
       std::lock_guard<std::mutex> lock(mu_);
+      corrupt_ = true;
       ticket = next_ticket_++;
       ++inflight_;
     }
@@ -124,9 +124,13 @@ void Connection::wrote(std::size_t n) {
 }
 
 bool Connection::want_read() const {
-  if (decoder_.corrupt()) return false;
   std::lock_guard<std::mutex> lock(mu_);
-  return !paused_;
+  return !paused_ && !corrupt_;
+}
+
+bool Connection::corrupt() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return corrupt_;
 }
 
 bool Connection::has_writable() const {

@@ -31,11 +31,15 @@
 /// through `writev`, so a burst of pipelined replies is never coalesced
 /// into a fresh allocation just to cross the socket boundary.
 ///
-/// Thread safety: `on_bytes`, `fetch_writable` and `wrote` are called by
-/// the owning I/O thread only; reply completion arrives from any worker
-/// thread. The `wake` callback fires (outside the lock) whenever the write
-/// queue transitions empty → non-empty, which is how worker-thread replies
-/// reach an event loop parked in `epoll_wait` (via `eventfd`).
+/// Thread safety: `on_bytes` is called by the owning I/O thread only (it
+/// alone touches the decoder); reply completion arrives from any thread,
+/// the I/O thread included when a sink answers inside `on_bytes`.
+/// `fetch_writable` and `wrote` may run on any thread that holds the
+/// transport's per-connection write lock, and the queries (`want_read`,
+/// `corrupt`, `drained`, ...) on any thread. The `wake` callback fires
+/// (outside the lock) on the completing thread whenever the write queue
+/// transitions empty → non-empty; the epoll transport writes the reply
+/// from there.
 #pragma once
 
 #include <cstdint>
@@ -65,8 +69,8 @@ class Connection : public std::enable_shared_from_this<Connection> {
   };
 
   /// `wake` may be empty; when set it is invoked (without the internal lock
-  /// held, possibly from a worker thread) whenever completed responses make
-  /// the write queue non-empty.
+  /// held, on the thread that completed the reply) whenever completed
+  /// responses make the write queue non-empty.
   ///
   /// Connections are shared-owned: each submitted frame's reply callback
   /// holds a `shared_ptr` back to the connection, so a request that is
@@ -108,7 +112,7 @@ class Connection : public std::enable_shared_from_this<Connection> {
   bool drained() const;
 
   /// Framing is unsyncable; flush remaining writes, then close.
-  bool corrupt() const { return decoder_.corrupt(); }
+  bool corrupt() const;
 
   std::uint64_t id() const { return id_; }
   std::size_t in_flight() const;
@@ -132,10 +136,9 @@ class Connection : public std::enable_shared_from_this<Connection> {
   const Limits limits_;
   std::function<void()> wake_;  ///< guarded by mu_; see disarm_wake()
 
-  // I/O-thread-only state.
+  // Reading-thread-only state.
   FrameDecoder decoder_;
   std::uint64_t next_ticket_ = 0;
-  bool corrupt_reported_ = false;
 
   mutable std::mutex mu_;
   std::uint64_t next_release_ = 0;  ///< ticket the write queue waits on
@@ -145,6 +148,7 @@ class Connection : public std::enable_shared_from_this<Connection> {
   std::size_t unacked_bytes_ = 0;
   std::size_t inflight_ = 0;
   bool paused_ = false;
+  bool corrupt_ = false;  ///< the decoder failed and the refusal is queued
   double last_activity_ms_ = 0.0;
 };
 

@@ -84,9 +84,11 @@ void EventLoop::wakeup() {
 }
 
 void EventLoop::drain_eventfd() {
+  // Without EFD_SEMAPHORE one read returns and clears the whole counter. A
+  // write landing after it leaves the fd readable, and the level-triggered
+  // wait reports it next round, so a second read could only fail.
   std::uint64_t count = 0;
-  while (::read(event_fd_, &count, sizeof count) > 0) {
-  }
+  [[maybe_unused]] const ssize_t n = ::read(event_fd_, &count, sizeof count);
 }
 
 void EventLoop::run_posted() {

@@ -5,10 +5,11 @@
 /// thread calls `run()`, which blocks in `epoll_wait` dispatching readiness
 /// events to per-fd handlers; any other thread may `post()` a closure (it
 /// runs on the loop thread before the next dispatch) or `wakeup()` the
-/// loop. This is the race-free path for worker-thread replies: a reply
-/// callback posts a flush task, the eventfd write pops the loop out of
-/// `epoll_wait`, and the loop thread — the only thread that ever touches a
-/// connection's socket — writes the response out.
+/// loop. The server transport posts only what must run on the loop
+/// thread: a connection hand-off, a stop, and the few reply outcomes a
+/// completing thread cannot finish itself (arming EPOLLOUT for bytes a
+/// full socket left behind, resuming reads, closing a drained connection).
+/// Replies themselves are written by the thread that completes them.
 ///
 /// `run()` also invokes an `on_tick` callback at least every `tick_ms`
 /// of real time (and after every dispatch round). Deadline bookkeeping

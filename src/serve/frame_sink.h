@@ -58,9 +58,11 @@ class FrameSink {
   /// deterministic.
   virtual double now_ms() const = 0;
 
-  /// Called by transports after feeding bytes that may have queued work.
-  /// Sinks that execute on the caller's thread (a manual-mode `Server`)
-  /// drain their queue here; asynchronous sinks ignore it.
+  /// Called by transports at the end of a read burst, after feeding bytes
+  /// that may have queued work. Sinks that execute on the caller's thread
+  /// (a manual-mode `Server`) drain their queue here; a threaded `Server`
+  /// lets the next submission run on the caller's thread if it is a
+  /// one-point query and the server is idle; other sinks ignore it.
   virtual void pump_ready() {}
 };
 

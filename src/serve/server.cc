@@ -54,7 +54,9 @@ void Server::submit(std::string payload,
   Status shed_status = Status::kUnavailable;
   std::string shed_why = "shutting down";
   {
-    std::lock_guard<std::mutex> lock(mu_);
+    std::unique_lock<std::mutex> lock(mu_);
+    // One arm per read burst: only the burst's first frame may run inline.
+    const bool burst_start = std::exchange(burst_ended_, false);
     if (!stopping_ &&
         (options_.max_queue == 0 || queue_.size() < options_.max_queue)) {
       Pending pending;
@@ -62,6 +64,18 @@ void Server::submit(std::string payload,
       pending.reply = std::move(reply);
       pending.bytes_in = bytes_in;
       pending.arrival_ms = now_ms();
+      if (burst_start && queue_.empty() && in_flight_ == 0 &&
+          endpoint_traits(pending.request.endpoint).batchable &&
+          pending.request.points.size() == 1) {
+        // An idle server answers a node read here rather than pay a worker
+        // wake for a kernel call far cheaper than the wake.
+        ++in_flight_;
+        lock.unlock();
+        std::vector<Pending> batch;
+        batch.push_back(std::move(pending));
+        run_batch(std::move(batch));
+        return;
+      }
       queue_.push_back(std::move(pending));
       cv_work_.notify_one();
       return;
@@ -88,7 +102,12 @@ void Server::record_bad_frame(std::size_t /*bytes_in*/) {
 }
 
 void Server::pump_ready() {
-  if (options_.workers == 0) pump();
+  if (options_.workers == 0) {
+    pump();
+    return;
+  }
+  std::lock_guard<std::mutex> lock(mu_);
+  burst_ended_ = true;
 }
 
 void Server::shed_overloaded(std::string payload,

@@ -14,7 +14,15 @@
 ///    them on the calling thread. Deterministic; what the loopback
 ///    transport and all unit tests use.
 ///  * `workers > 0` — threaded mode: a worker pool drains the queue;
-///    callbacks fire on worker threads.
+///    callbacks fire on worker threads. One exception keeps node reads off
+///    the worker hand-off: after a transport signals the end of a read
+///    burst through `pump_ready()`, the next submission, if it is a
+///    one-point `localize`/`error-at` and the server is idle (nothing
+///    queued or executing, not stopping), runs on the submitting thread
+///    as a batch of one and is answered before `submit` returns. The rest
+///    of that burst, every other request, anything arriving while a batch
+///    executes, and every submission from a caller that never calls
+///    `pump_ready()` (the loopback transport) go to the workers.
 ///
 /// Resilience (the overload/deadline contract the chaos suite asserts):
 ///  * Admission control — with `max_queue > 0`, a submission that would
@@ -91,9 +99,10 @@ class Server : public FrameSink {
   Server& operator=(const Server&) = delete;
 
   /// Submit one frame payload. `reply` is invoked exactly once with the
-  /// encoded response payload — immediately (unparseable input or
-  /// shutdown rejection), from `pump()` in manual mode, or from a worker
-  /// thread in threaded mode.
+  /// encoded response payload — immediately (unparseable input, shutdown
+  /// rejection, or an idle threaded server's first node read after
+  /// `pump_ready()`), from `pump()` in manual mode, or from a worker thread
+  /// in threaded mode.
   void submit(std::string payload,
               std::function<void(std::string)> reply) override;
 
@@ -113,7 +122,8 @@ class Server : public FrameSink {
   void pump();
 
   /// FrameSink hook: manual-mode servers (workers == 0) drain the queue on
-  /// the transport's I/O thread; threaded servers ignore it.
+  /// the transport's I/O thread; threaded servers arm the inline path for
+  /// the next submission (see the file comment).
   void pump_ready() override;
 
   /// Reject new requests, drain everything already accepted, stop workers.
@@ -168,6 +178,9 @@ class Server : public FrameSink {
   std::size_t in_flight_ = 0;
   bool stopping_ = false;  ///< reject new submissions
   bool quit_ = false;      ///< workers exit once the queue is empty
+  /// Set by `pump_ready()` in threaded mode, cleared by the next submit,
+  /// which may then run inline.
+  bool burst_ended_ = false;
   std::vector<std::thread> workers_;
   /// Fair-dequeue cursor: id of the principal served last; the next batch
   /// seeds from the smallest queued principal id strictly greater (cyclic).

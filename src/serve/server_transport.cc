@@ -21,7 +21,8 @@ namespace abp::serve {
 namespace {
 
 /// Tick interval: the latency bound on deadline checks, not on replies
-/// (replies are flushed by eventfd wakeups).
+/// (replies leave from the thread that completes them, or from the loop
+/// once EPOLLOUT or an eventfd post says the socket needs it).
 constexpr int kTickMs = 20;
 
 [[noreturn]] void throw_errno(const std::string& what) {
@@ -29,6 +30,52 @@ constexpr int kTickMs = 20;
 }
 
 }  // namespace
+
+/// `mu` is the write lock. It orders every write to the socket, and the
+/// close: a completer that finds `fd < 0` writes nothing, so no thread
+/// writes to a closed or reused fd. Lock order: `mu` before
+/// `Connection::mu_`; `mu` is never held across a sink call.
+struct ServerTransport::Wire {
+  std::mutex mu;
+  /// -1 once closed. Only the loop thread changes it (under `mu`), so the
+  /// loop thread reads it without the lock.
+  int fd = -1;
+  /// The connection this socket carries. Its own wake calls
+  /// `write_released`, so it is alive whenever that runs.
+  Connection* connection = nullptr;
+  /// Frames fetched but not yet fully sent. Non-empty means a send hit
+  /// EAGAIN (or failed) and the loop owns the socket's writes until it
+  /// drains: completers leave new frames to it instead of retrying.
+  Outbox outbox;
+  /// The loop dropped EPOLLIN under backpressure (or corrupt framing); a
+  /// completer whose write lets reading resume posts a flush to re-arm it.
+  bool read_paused = false;
+  /// Close once drained: the peer closed, framing is corrupt, or the
+  /// transport is stopping.
+  bool hangup = false;
+
+  /// The completing thread's write: send the frames released so far.
+  /// True when the loop must act: bytes are left for EPOLLOUT, the send
+  /// failed, reading must resume after watermark backpressure, or a
+  /// drained connection must close.
+  bool write_released() {
+    std::lock_guard<std::mutex> lock(mu);
+    if (fd < 0 || !outbox.empty()) return false;
+    const IoResult w = write_available(fd, *connection, outbox);
+    if (w.error || w.would_block) return true;
+    if (read_paused && connection->want_read()) {
+      read_paused = false;
+      return true;
+    }
+    return hangup && connection->drained();
+  }
+
+  void close_socket() {
+    std::lock_guard<std::mutex> lock(mu);
+    ::close(fd);
+    fd = -1;
+  }
+};
 
 ServerTransport::ServerTransport(FrameSink& sink, TransportOptions options)
     : sink_(&sink), options_(options) {}
@@ -112,18 +159,24 @@ void ServerTransport::install(Shard& shard, int fd, std::uint64_t id) {
   }
   Connection::Limits limits;
   limits.max_inflight = options_.max_inflight;
-  // The wake (fired by whichever worker thread completes a reply) only
-  // posts back to the owning loop; the weak loop pointer makes a late wake
-  // after transport teardown a no-op instead of a use-after-free.
+  // The wake runs on whichever thread completes a reply (a worker, a
+  // router pool thread, or this loop thread) and writes the reply there;
+  // it posts to the owning loop only when the loop must act. The weak loop
+  // pointer makes a late post after transport teardown a no-op instead of
+  // a use-after-free.
   std::weak_ptr<EventLoop> weak_loop = shard.loop;
   Conn conn;
-  conn.fd = fd;
+  conn.wire = std::make_shared<Wire>();
+  conn.wire->fd = fd;
   conn.state = std::make_shared<Connection>(
-      id, *sink_, limits, [this, weak_loop, &shard, id] {
+      id, *sink_, limits,
+      [this, weak_loop, wire = conn.wire, &shard, id] {
+        if (!wire->write_released()) return;
         if (std::shared_ptr<EventLoop> loop = weak_loop.lock()) {
           loop->post([this, &shard, id] { flush(shard, id); });
         }
       });
+  conn.wire->connection = conn.state.get();
   conn.armed = EPOLLIN;
   shard.loop->add_fd(fd, EPOLLIN, [this, &shard, id](std::uint32_t events) {
     handle_io(shard, id, events);
@@ -138,14 +191,15 @@ void ServerTransport::handle_io(Shard& shard, std::uint64_t id,
   Conn& conn = it->second;
   if (events & (EPOLLIN | EPOLLERR | EPOLLHUP)) {
     if (!conn.peer_closed && conn.state->want_read()) {
-      const IoResult r = read_available(conn.fd, *conn.state);
+      const IoResult r = read_available(conn.wire->fd, *conn.state);
       if (r.error) {
         close_conn(shard, id);
         return;
       }
       if (r.peer_closed) conn.peer_closed = true;
-      // Sinks that execute on the caller's thread (a manual-mode server)
-      // drain whatever the read just queued.
+      // The end of a read burst: a manual-mode server drains whatever the
+      // read just queued; a threaded one may answer the next burst's first
+      // node read on this thread.
       if (r.bytes > 0) sink_->pump_ready();
     } else if (events & (EPOLLERR | EPOLLHUP)) {
       conn.peer_closed = true;
@@ -156,33 +210,35 @@ void ServerTransport::handle_io(Shard& shard, std::uint64_t id,
 
 void ServerTransport::flush(Shard& shard, std::uint64_t id) {
   const auto it = shard.conns.find(id);
-  if (it == shard.conns.end()) return;  // stale wake after close
+  if (it == shard.conns.end()) return;  // stale post after close
   Conn& conn = it->second;
-  const IoResult w = write_available(conn.fd, *conn.state, conn.outbox);
-  if (w.error) {
-    close_conn(shard, id);
-    return;
+  Wire& wire = *conn.wire;
+  bool close = false;
+  {
+    std::lock_guard<std::mutex> lock(wire.mu);
+    if (conn.peer_closed || conn.state->corrupt() || stopping_.load()) {
+      wire.hangup = true;
+    }
+    const IoResult w = write_available(wire.fd, *conn.state, wire.outbox);
+    close = w.error || (wire.hangup && conn.state->drained());
+    if (!close) update_interest(shard, conn);
   }
-  if (conn.state->drained() &&
-      (conn.peer_closed || conn.state->corrupt() || stopping_.load())) {
-    close_conn(shard, id);
-    return;
-  }
-  update_interest(shard, conn);
+  if (close) close_conn(shard, id);
 }
 
 void ServerTransport::update_interest(Shard& shard, Conn& conn) {
+  Wire& wire = *conn.wire;
+  const bool readable = !conn.peer_closed && !stopping_.load();
   std::uint32_t desired = 0;
-  if (!conn.peer_closed && !stopping_.load() && conn.state->want_read()) {
-    desired |= EPOLLIN;
-  }
+  if (readable && conn.state->want_read()) desired |= EPOLLIN;
+  wire.read_paused = readable && (desired & EPOLLIN) == 0;
   // EPOLLOUT only while bytes are actually stuck: a level-triggered loop
-  // armed for OUT on an idle writable socket would spin.
-  if (!conn.outbox.empty() || conn.state->has_writable()) {
-    desired |= EPOLLOUT;
-  }
+  // armed for OUT on an idle writable socket would spin. Frames released
+  // after this flush's last fetch leave from the thread that completes
+  // them.
+  if (!wire.outbox.empty()) desired |= EPOLLOUT;
   if (desired != conn.armed) {
-    shard.loop->modify_fd(conn.fd, desired);
+    shard.loop->modify_fd(wire.fd, desired);
     conn.armed = desired;
   }
 }
@@ -191,8 +247,8 @@ void ServerTransport::close_conn(Shard& shard, std::uint64_t id) {
   const auto it = shard.conns.find(id);
   if (it == shard.conns.end()) return;
   Conn& conn = it->second;
-  shard.loop->remove_fd(conn.fd);
-  ::close(conn.fd);
+  shard.loop->remove_fd(conn.wire->fd);
+  conn.wire->close_socket();
   conn.state->disarm_wake();
   shard.conns.erase(it);
   open_conns_.fetch_sub(1, std::memory_order_relaxed);
@@ -212,7 +268,11 @@ void ServerTransport::tick(Shard& shard) {
       to_close.push_back(id);
       continue;
     }
-    const bool unsent = !conn.outbox.empty() || conn.state->has_writable();
+    bool unsent = false;
+    {
+      std::lock_guard<std::mutex> lock(conn.wire->mu);
+      unsent = !conn.wire->outbox.empty() || conn.state->has_writable();
+    }
     const double idle_ms = now - conn.state->last_activity_ms();
     if (unsent ? idle_ms >= write_budget_ms : idle_ms >= read_budget_ms) {
       to_close.push_back(id);
@@ -241,7 +301,7 @@ void ServerTransport::stop() {
       std::vector<std::uint64_t> ids;
       ids.reserve(s->conns.size());
       for (auto& [id, conn] : s->conns) {
-        ::shutdown(conn.fd, SHUT_RD);  // no new requests; finish replies
+        ::shutdown(conn.wire->fd, SHUT_RD);  // no new requests; finish replies
         ids.push_back(id);
       }
       for (const std::uint64_t id : ids) flush(*s, id);
@@ -264,7 +324,7 @@ void ServerTransport::stop() {
   }
   for (std::unique_ptr<Shard>& shard : shards_) {
     for (auto& [id, conn] : shard->conns) {
-      ::close(conn.fd);
+      conn.wire->close_socket();  // workers may still be completing replies
       conn.state->disarm_wake();
       open_conns_.fetch_sub(1, std::memory_order_relaxed);
     }

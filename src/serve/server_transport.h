@@ -10,11 +10,19 @@
 /// One or more (`event_shards`) epoll event loops own every socket: the
 /// listener accepts until EAGAIN on shard 0 and hands each accepted fd to a
 /// shard round-robin; the shard's loop thread is then the only thread that
-/// ever reads or writes that socket, so the concurrent-connection ceiling
-/// is the fd limit, not a thread count. Request execution stays in the
-/// `Server`'s worker pool — a worker completing a reply posts a flush task
-/// to the owning loop (via its `eventfd`), so responses leave with
-/// event-driven latency and without cross-thread socket races.
+/// reads that socket, registers it with epoll or closes it, so the
+/// concurrent-connection ceiling is the fd limit, not a thread count.
+///
+/// Replies leave from the thread that completes them: a `Server` worker, a
+/// router pool thread, or the loop thread itself (a manual-mode server, or
+/// a node read a threaded server answered inline). That thread writes the
+/// released in-order frames under the connection's write lock, and posts
+/// to the owning loop (via its `eventfd`) only when the loop must act:
+/// bytes are left for EPOLLOUT, reading must resume after watermark
+/// backpressure, or a drained connection must close. The loop closes a
+/// socket under the same lock, so no thread writes to a closed or reused
+/// fd. The lock is taken before `Connection`'s own and never held across a
+/// sink call.
 ///
 /// Per-connection behaviour (framing, ordered replies, in-flight shedding,
 /// write watermarks) is the `Connection` state machine (connection.h); this
@@ -23,8 +31,11 @@
 ///  * EPOLLIN is armed while `want_read()` — it drops out under watermark
 ///    backpressure or after corrupt framing, so a level-triggered loop
 ///    does not spin on data it refuses to read.
-///  * EPOLLOUT is armed only after a send hit EAGAIN; completed replies on
-///    an idle socket are written directly from the flush task.
+///  * EPOLLOUT is armed only while a send that hit EAGAIN left bytes
+///    behind; until they drain, completers leave new frames to the loop
+///    rather than retry a full socket.
+///  * A read that moved bytes ends with `FrameSink::pump_ready()`: the
+///    sink learns that the burst is over (see server.h).
 ///  * Idle and write-stall timeouts are checked in the loop tick against
 ///    the server's injectable clock (deterministic under `ManualClock`).
 ///
@@ -101,10 +112,13 @@ class ServerTransport {
   }
 
  private:
+  /// A socket's writing side, shared by its loop thread and every thread
+  /// that completes one of its replies (defined in server_transport.cc).
+  struct Wire;
+
   struct Conn {
-    int fd = -1;
     std::shared_ptr<Connection> state;
-    Outbox outbox;            ///< frames fetched but not yet fully sent
+    std::shared_ptr<Wire> wire;
     std::uint32_t armed = 0;  ///< current epoll interest mask
     bool peer_closed = false;
   };

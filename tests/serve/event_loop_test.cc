@@ -3,7 +3,8 @@
 /// state machine (ordered release, in-flight shedding, corrupt framing,
 /// write watermarks, wake discipline), and the epoll `ServerTransport` over
 /// real sockets (round trips, shard fan-out, idle timeouts, the
-/// open-connection gauge the leak probes rely on).
+/// open-connection gauge the leak probes rely on, and the write path:
+/// EAGAIN to EPOLLOUT, watermark pause and resume, hangups mid-reply).
 #include "serve/event_loop.h"
 
 #include <fcntl.h>
@@ -481,6 +482,142 @@ TEST(EpollTransport, OpenConnectionGaugeFallsToZeroWhenClientsLeave) {
   }
   EXPECT_EQ(fixture.transport->open_connections(), 0u);
   EXPECT_EQ(fixture.transport->connections_accepted(), 3u);
+}
+
+// ---- the write path over real sockets ----------------------------------
+//
+// Replies leave from whichever thread completes them; these pin what that
+// moves between threads: a send that hits EAGAIN hands the rest to the
+// loop's EPOLLOUT, the 1 MiB high watermark stops reading until the peer
+// drains, and a close never races a completer.
+
+/// An `error-at` over `points` lattice nodes of the 60 m test field: about
+/// 12 request bytes and 25 reply bytes per point.
+Request error_at_lattice(std::uint64_t seq, std::size_t points) {
+  Request request;
+  request.seq = seq;
+  request.endpoint = Endpoint::kErrorAt;
+  request.points.reserve(points);
+  for (std::size_t i = 0; i < points; ++i) {
+    request.points.push_back({static_cast<double>(i % 60),
+                              static_cast<double>(i / 60 % 60)});
+  }
+  return request;
+}
+
+/// 24 replies of 12000 errors, about 7 MB: more than both loopback socket
+/// buffers hold (about 4 MB under Linux's default `tcp_wmem`) plus the 1 MiB
+/// high watermark. The 3.5 MB of requests fit in the client's send buffer
+/// even if the server reads none of them, so a client can send them all
+/// before reading.
+constexpr std::uint64_t kBigReplies = 24;
+constexpr std::size_t kBigReplyPoints = 12000;
+
+std::string big_reply_burst() {
+  std::string burst;
+  for (std::uint64_t seq = 1; seq <= kBigReplies; ++seq) {
+    burst += encode_frame(
+        format_request(error_at_lattice(seq, kBigReplyPoints)));
+  }
+  return burst;
+}
+
+void expect_big_replies(TcpClientTransport& client) {
+  for (std::uint64_t seq = 1; seq <= kBigReplies; ++seq) {
+    const auto response = parse_response(client.read_payload());
+    ASSERT_TRUE(response.has_value());
+    EXPECT_EQ(response->seq, seq);
+    ASSERT_EQ(response->status, Status::kOk) << response->message;
+    EXPECT_EQ(response->errors.size(), kBigReplyPoints);
+  }
+}
+
+/// Wait until the server has answered everything it accepted and accepted
+/// nothing new for 300 ms; returns the submitted count then.
+std::uint64_t wait_until_settled(LocalizationService& service) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  std::uint64_t seen = service.metrics().submitted();
+  auto stable_since = std::chrono::steady_clock::now();
+  while (std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    const std::uint64_t now = service.metrics().submitted();
+    const bool answered =
+        now == service.metrics().completed() + service.metrics().shed_total();
+    if (now != seen || !answered) {
+      seen = now;
+      stable_since = std::chrono::steady_clock::now();
+    } else if (std::chrono::steady_clock::now() - stable_since >=
+               std::chrono::milliseconds(300)) {
+      break;
+    }
+  }
+  return seen;
+}
+
+TEST(EpollTransport, RepliesPastTheSocketBufferArriveWholeAndInOrder) {
+  EpollFixture fixture;
+  TcpClientTransport client("127.0.0.1", fixture.transport->port(), 10.0);
+  client.send_raw(big_reply_burst());  // everything sent before any read
+  expect_big_replies(client);
+  EXPECT_EQ(client.roundtrip(localize_request(99)).status, Status::kOk);
+}
+
+TEST(EpollTransport, UnreadRepliesPastTheHighWatermarkStopReadingUntilDrained) {
+  EpollFixture fixture;
+  TcpClientTransport client("127.0.0.1", fixture.transport->port(), 10.0);
+  client.send_raw(big_reply_burst());
+  const std::uint64_t accepted = wait_until_settled(fixture.service);
+  ASSERT_GT(accepted, 0u);
+
+  // The backlog stands above the high watermark: later requests stay in
+  // the socket, unread and unsubmitted.
+  std::string later;
+  for (std::uint64_t seq = 101; seq <= 104; ++seq) later += request_frame(seq);
+  client.send_raw(later);
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  EXPECT_EQ(fixture.service.metrics().submitted(), accepted);
+
+  // Draining the backlog resumes reading: everything is served, in order.
+  expect_big_replies(client);
+  for (std::uint64_t seq = 101; seq <= 104; ++seq) {
+    const auto response = parse_response(client.read_payload());
+    ASSERT_TRUE(response.has_value());
+    EXPECT_EQ(response->seq, seq);
+    EXPECT_EQ(response->status, Status::kOk);
+  }
+  EXPECT_EQ(fixture.service.metrics().submitted(), kBigReplies + 4);
+}
+
+TEST(EpollTransport, HangupsWithRepliesInFlightLeaveNoOpenConnections) {
+  EpollFixture fixture;
+  {
+    std::vector<std::unique_ptr<TcpClientTransport>> clients;
+    for (std::uint64_t c = 0; c < 4; ++c) {
+      clients.push_back(std::make_unique<TcpClientTransport>(
+          "127.0.0.1", fixture.transport->port()));
+      std::string burst;
+      for (std::uint64_t seq = 1; seq <= 4; ++seq) {
+        burst += request_frame(seq);
+        burst += encode_frame(format_request(error_at_lattice(seq, 4000)));
+      }
+      clients.back()->send_raw(burst);
+    }
+  }  // every client hangs up without reading a reply
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (fixture.transport->open_connections() != 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_EQ(fixture.transport->open_connections(), 0u);
+  wait_until_settled(fixture.service);
+  EXPECT_EQ(fixture.service.metrics().submitted(),
+            fixture.service.metrics().completed() +
+                fixture.service.metrics().shed_total());
+
+  TcpClientTransport later("127.0.0.1", fixture.transport->port());
+  EXPECT_EQ(later.roundtrip(localize_request(7)).status, Status::kOk);
 }
 
 TEST(EpollTransport, StopIsIdempotentAndDisconnectsClients) {

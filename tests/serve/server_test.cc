@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <future>
+#include <mutex>
 #include <regex>
 #include <string>
 #include <thread>
@@ -275,6 +279,223 @@ TEST(Server, ShutdownIsIdempotent) {
   server.shutdown();
   server.shutdown();
   EXPECT_TRUE(server.shutting_down());
+}
+
+// ---- the inline node read ----------------------------------------------
+//
+// A threaded server driven the way the epoll transport drives it: the
+// frames of one read burst are submitted, then `pump_ready()` marks the
+// burst's end.
+
+Server::Options inline_options() {
+  Server::Options options;
+  options.workers = 2;
+  options.max_batch = 8;
+  return options;
+}
+
+/// One reply: its payload, the thread it arrived on, and whether it came.
+class Answer {
+ public:
+  std::function<void(std::string)> callback() {
+    return [this](std::string payload) {
+      std::lock_guard<std::mutex> lock(mu_);
+      payload_ = std::move(payload);
+      thread_ = std::this_thread::get_id();
+      done_ = true;
+      cv_.notify_all();
+    };
+  }
+
+  bool arrived() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return done_;
+  }
+
+  /// The thread the reply arrived on, after waiting up to 5 s for it.
+  std::thread::id thread() {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait_for(lock, std::chrono::seconds(5), [this] { return done_; });
+    EXPECT_TRUE(done_) << "no reply within 5 s";
+    return thread_;
+  }
+
+  Status status() {
+    thread();
+    std::lock_guard<std::mutex> lock(mu_);
+    const auto response = parse_response(payload_);
+    EXPECT_TRUE(response.has_value());
+    return response ? response->status : Status::kInternal;
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool done_ = false;
+  std::thread::id thread_;
+  std::string payload_;
+};
+
+Request error_at_request(std::uint64_t seq, Vec2 point) {
+  Request request = localize_request(seq, point);
+  request.endpoint = Endpoint::kErrorAt;
+  return request;
+}
+
+void expect_reconciled(LocalizationService& service,
+                       const Server& server) {
+  EXPECT_EQ(service.metrics().submitted(),
+            service.metrics().completed() + service.metrics().shed_total());
+  EXPECT_EQ(server.queue_depth(), 0u);
+  EXPECT_EQ(server.in_flight(), 0u);
+}
+
+TEST(ServerInline, IdleServerAnswersTheBurstsFirstNodeReadBeforeSubmitReturns) {
+  LocalizationService service(test_config());
+  service.add_field("default", make_field());
+  Server server(service, inline_options());
+
+  Answer localize;
+  server.pump_ready();
+  server.submit(format_request(localize_request(1, {12, 12})),
+                localize.callback());
+  EXPECT_TRUE(localize.arrived()) << "answered before submit returned";
+  EXPECT_EQ(localize.thread(), std::this_thread::get_id());
+  EXPECT_EQ(localize.status(), Status::kOk);
+
+  Answer error_at;
+  server.pump_ready();
+  server.submit(format_request(error_at_request(2, {12, 12})),
+                error_at.callback());
+  EXPECT_TRUE(error_at.arrived());
+  EXPECT_EQ(error_at.thread(), std::this_thread::get_id());
+  EXPECT_EQ(error_at.status(), Status::kOk);
+
+  // Inline runs are batches of one, with a latency sample each.
+  EXPECT_EQ(service.metrics().batches(), 2u);
+  EXPECT_EQ(service.metrics()
+                .endpoint_snapshot(Endpoint::kLocalize)
+                .latency_samples,
+            1u);
+  server.shutdown();
+  expect_reconciled(service, server);
+}
+
+TEST(ServerInline, WorkersAnswerTheRestOfTheBurst) {
+  LocalizationService service(test_config());
+  service.add_field("default", make_field());
+  Server server(service, inline_options());
+
+  Answer first;
+  Answer second;
+  server.pump_ready();
+  server.submit(format_request(localize_request(1, {12, 12})),
+                first.callback());
+  server.submit(format_request(localize_request(2, {14, 14})),
+                second.callback());
+  EXPECT_EQ(first.thread(), std::this_thread::get_id());
+  EXPECT_NE(second.thread(), std::this_thread::get_id());
+  EXPECT_EQ(second.status(), Status::kOk);
+  server.shutdown();
+  expect_reconciled(service, server);
+}
+
+TEST(ServerInline, WorkersAnswerMultiPointAndNonPointRequests) {
+  LocalizationService service(test_config());
+  service.add_field("default", make_field());
+  Server server(service, inline_options());
+
+  Request two_points = localize_request(1, {12, 12});
+  two_points.points.push_back({20, 20});
+  Answer multi;
+  server.pump_ready();
+  server.submit(format_request(two_points), multi.callback());
+  EXPECT_NE(multi.thread(), std::this_thread::get_id());
+  EXPECT_EQ(multi.status(), Status::kOk);
+
+  Request propose;
+  propose.seq = 2;
+  propose.endpoint = Endpoint::kPropose;
+  propose.algorithm = "max";
+  Answer proposal;
+  server.pump_ready();
+  server.submit(format_request(propose), proposal.callback());
+  EXPECT_NE(proposal.thread(), std::this_thread::get_id());
+  EXPECT_EQ(proposal.status(), Status::kOk);
+  server.shutdown();
+  expect_reconciled(service, server);
+}
+
+TEST(ServerInline, ANodeReadArrivingWhileAWorkerIsBusyIsQueued) {
+  LocalizationService service(test_config());
+  service.add_field("default", make_field());
+  Server server(service, inline_options());
+
+  // A worker stays busy inside its reply callback until released.
+  std::promise<void> release;
+  const std::shared_future<void> released = release.get_future().share();
+  std::promise<void> entered;
+  server.submit(format_request(localize_request(1, {12, 12})),
+                [&entered, released](std::string) {
+                  entered.set_value();
+                  released.wait();
+                });
+  ASSERT_EQ(entered.get_future().wait_for(std::chrono::seconds(5)),
+            std::future_status::ready);
+
+  Answer read;
+  server.pump_ready();
+  server.submit(format_request(localize_request(2, {14, 14})),
+                read.callback());
+  EXPECT_NE(read.thread(), std::this_thread::get_id())
+      << "a busy server must hand the read to its other worker";
+  EXPECT_EQ(read.status(), Status::kOk);
+  release.set_value();
+  server.shutdown();
+  expect_reconciled(service, server);
+}
+
+TEST(ServerInline, CallersThatNeverPumpReadyKeepTheWorkerPath) {
+  LocalizationService service(test_config());
+  service.add_field("default", make_field());
+  Server server(service, inline_options());
+
+  for (std::uint64_t seq = 1; seq <= 4; ++seq) {
+    Answer answer;
+    server.submit(format_request(localize_request(seq, {12, 12})),
+                  answer.callback());
+    EXPECT_NE(answer.thread(), std::this_thread::get_id());
+    EXPECT_EQ(answer.status(), Status::kOk);
+  }
+  server.shutdown();
+  expect_reconciled(service, server);
+}
+
+TEST(ServerInline, ShutdownReconcilesInlineAndQueuedWork) {
+  LocalizationService service(test_config());
+  service.add_field("default", make_field());
+  Server server(service, inline_options());
+
+  // Bursts of three: the first may run inline, the rest queue.
+  std::atomic<int> answered{0};
+  for (std::uint64_t burst = 0; burst < 20; ++burst) {
+    for (std::uint64_t i = 0; i < 3; ++i) {
+      server.submit(format_request(localize_request(burst * 3 + i, {12, 12})),
+                    [&answered](std::string) { ++answered; });
+    }
+    server.pump_ready();
+  }
+  server.shutdown();
+  EXPECT_EQ(answered.load(), 60);
+  expect_reconciled(service, server);
+
+  // A stopping server never runs inline: the read is refused at the door.
+  Answer late;
+  server.pump_ready();
+  server.submit(format_request(localize_request(99, {12, 12})),
+                late.callback());
+  EXPECT_EQ(late.status(), Status::kUnavailable);
+  expect_reconciled(service, server);
 }
 
 TEST(Server, MetricsRecordLatencyAndBytes) {
